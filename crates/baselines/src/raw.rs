@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use corm_core::{GlobalPtr, Timed};
 use corm_sim_core::time::{SimDuration, SimTime};
-use corm_sim_rdma::{LatencyModel, QueuePair, RdmaError, Rnic};
+use corm_sim_rdma::{LatencyModel, QueuePair, RdmaError, ReadReq, Rnic};
 
 /// A client issuing raw one-sided RDMA reads with *no* consistency check —
 /// the "RDMA" line of Figs. 9 and 11.
@@ -43,8 +43,8 @@ impl RawRdmaClient {
         self.read(ptr.rkey, ptr.vaddr, buf, now)
     }
 
-    /// Batched raw reads — the hardware floor of multi-get: one READ WQE
-    /// per `(rkey, vaddr, len)` request, a single doorbell, no validation.
+    /// Batched raw reads — the hardware floor of multi-get: one READ per
+    /// `(rkey, vaddr, len)` request, a single doorbell, no validation.
     /// Returns the fetched payloads in request order; the cost is the
     /// batch makespan (the instant the last completion lands).
     pub fn read_batch(
@@ -52,18 +52,18 @@ impl RawRdmaClient {
         reqs: &[(u32, u64, usize)],
         now: SimTime,
     ) -> Result<Timed<Vec<Vec<u8>>>, RdmaError> {
-        for (k, &(rkey, vaddr, len)) in reqs.iter().enumerate() {
-            self.qp.post_read(rkey, vaddr, len, k as u64);
-        }
-        self.qp.ring_doorbell(now);
+        let reqs: Vec<ReadReq> = reqs
+            .iter()
+            .enumerate()
+            .map(|(k, &(rkey, vaddr, len))| ReadReq::new(k as u64, rkey, vaddr, len))
+            .collect();
         let mut out = vec![Vec::new(); reqs.len()];
+        let mut results = Vec::with_capacity(reqs.len());
+        self.qp.read_batch_into(&reqs, &mut out, now, &mut results);
         let mut end = now;
-        for c in self.qp.poll_cq(usize::MAX) {
-            end = end.max(c.completed_at);
-            match c.result {
-                Ok(_) => out[c.wr_id as usize] = c.data.to_vec(),
-                Err(e) => return Err(e),
-            }
+        for r in results {
+            r.result?;
+            end = end.max(r.completed_at);
         }
         Ok(Timed::new(out, end.saturating_since(now)))
     }

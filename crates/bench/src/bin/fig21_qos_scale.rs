@@ -42,7 +42,7 @@ use corm_core::server::ServerConfig;
 use corm_core::GlobalPtr;
 use corm_sim_core::stats::Histogram;
 use corm_sim_core::time::{SimDuration, SimTime};
-use corm_sim_rdma::{MuxQp, QosConfig, QueuePair, RnicConfig, TrafficClass};
+use corm_sim_rdma::{MuxQp, QosConfig, QueuePair, ReadReq, RnicConfig, TrafficClass};
 use corm_trace::TraceHandle;
 
 const LAT_SIZE: usize = 64;
@@ -50,7 +50,7 @@ const BULK_SIZE: usize = 2048;
 const LAT_OBJECTS: usize = 1024;
 const BULK_OBJECTS: usize = 64;
 const SYNC_PER_ROUND: usize = 2;
-/// wr_id bands so completions classify without a side table.
+/// wr_id bands so results classify without a side table.
 const BULK_BAND: u64 = 1 << 40;
 const SYNC_BAND: u64 = 1 << 41;
 
@@ -115,59 +115,56 @@ fn run_isolation_cell(
     // measuring: otherwise the unloaded baseline's p99 is just the
     // first-round cold misses and the isolation gate compares against an
     // inflated yardstick.
-    for (i, p) in lat_ptrs.iter().chain(bulk_ptrs.iter()).enumerate() {
-        qp.post_read(p.rkey, p.vaddr, LAT_SIZE, i as u64);
-    }
-    qp.ring_doorbell(clock);
-    for c in qp.poll_cq(usize::MAX) {
-        assert!(c.is_ok(), "warmup verbs must succeed: {:?}", c.result);
-        clock = clock.max(c.completed_at);
+    let read = |p: &GlobalPtr, len: usize, wr_id: u64, tenant: u32, class: TrafficClass| ReadReq {
+        tenant,
+        class,
+        ..ReadReq::new(wr_id, p.rkey, p.vaddr, len)
+    };
+    let mut reqs: Vec<ReadReq> = lat_ptrs
+        .iter()
+        .chain(bulk_ptrs.iter())
+        .enumerate()
+        .map(|(i, p)| ReadReq::new(i as u64, p.rkey, p.vaddr, LAT_SIZE))
+        .collect();
+    let mut outs = vec![Vec::new(); reqs.len()];
+    let mut results = Vec::new();
+    qp.read_batch_into(&reqs, &mut outs, clock, &mut results);
+    for r in &results {
+        assert!(r.result.is_ok(), "warmup verbs must succeed: {:?}", r.result);
+        clock = clock.max(r.completed_at);
     }
     clock += SimDuration::from_micros(1);
     for _ in 0..sizes.rounds {
+        reqs.clear();
         // The saturator posts first: worst case for FIFO, the case the
         // weighted scheduler exists to absorb.
         if loaded {
             for i in 0..sizes.bulk_per_round {
-                let p = bulk_ptrs[rand::Rng::gen_range(&mut rng, 0..BULK_OBJECTS)];
-                qp.post_read_tagged(
-                    p.rkey,
-                    p.vaddr,
-                    BULK_SIZE,
-                    BULK_BAND | i as u64,
-                    0,
-                    TrafficClass::Bulk,
-                );
+                let p = &bulk_ptrs[rand::Rng::gen_range(&mut rng, 0..BULK_OBJECTS)];
+                reqs.push(read(p, BULK_SIZE, BULK_BAND | i as u64, 0, TrafficClass::Bulk));
             }
             for i in 0..SYNC_PER_ROUND {
-                let p = lat_ptrs[rand::Rng::gen_range(&mut rng, 0..LAT_OBJECTS)];
-                qp.post_read_tagged(
-                    p.rkey,
-                    p.vaddr,
-                    LAT_SIZE,
-                    SYNC_BAND | i as u64,
-                    0,
-                    TrafficClass::Sync,
-                );
+                let p = &lat_ptrs[rand::Rng::gen_range(&mut rng, 0..LAT_OBJECTS)];
+                reqs.push(read(p, LAT_SIZE, SYNC_BAND | i as u64, 0, TrafficClass::Sync));
             }
         }
         for i in 0..sizes.lat_per_round {
-            let p = lat_ptrs[rand::Rng::gen_range(&mut rng, 0..LAT_OBJECTS)];
+            let p = &lat_ptrs[rand::Rng::gen_range(&mut rng, 0..LAT_OBJECTS)];
             let tenant = 1 + rand::Rng::gen_range(&mut rng, 0..sizes.tenant_space);
-            qp.post_read_tagged(p.rkey, p.vaddr, LAT_SIZE, i as u64, tenant, TrafficClass::Latency);
+            reqs.push(read(p, LAT_SIZE, i as u64, tenant, TrafficClass::Latency));
         }
-        qp.ring_doorbell(clock);
+        qp.read_batch_into(&reqs, &mut outs, clock, &mut results);
         let mut makespan = SimDuration::ZERO;
-        for c in qp.poll_cq(usize::MAX) {
-            assert!(c.is_ok(), "isolation cell verbs must succeed: {:?}", c.result);
-            let class = if c.wr_id & BULK_BAND != 0 {
+        for r in &results {
+            assert!(r.result.is_ok(), "isolation cell verbs must succeed: {:?}", r.result);
+            let class = if r.wr_id & BULK_BAND != 0 {
                 TrafficClass::Bulk
-            } else if c.wr_id & SYNC_BAND != 0 {
+            } else if r.wr_id & SYNC_BAND != 0 {
                 TrafficClass::Sync
             } else {
                 TrafficClass::Latency
             };
-            let wait = c.completed_at.saturating_since(clock);
+            let wait = r.completed_at.saturating_since(clock);
             hists[class.index()].record_duration(wait);
             makespan = makespan.max(wait);
         }

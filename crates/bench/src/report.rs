@@ -607,7 +607,7 @@ mod tests {
         use std::sync::Arc;
 
         use corm_sim_mem::{AddressSpace, PhysicalMemory};
-        use corm_sim_rdma::RnicConfig;
+        use corm_sim_rdma::{ReadReq, RnicConfig};
 
         let pm = Arc::new(PhysicalMemory::new());
         let frames = pm.alloc_n(1).unwrap();
@@ -618,11 +618,11 @@ mod tests {
         aspace.write(va, &[9u8; 128]).unwrap();
 
         let qp = QueuePair::connect(rnic.clone());
-        for i in 0..4u64 {
-            qp.post_read(mr.rkey, va + i * 32, 32, i);
-        }
-        qp.ring_doorbell(SimTime::ZERO);
-        let end = qp.poll_cq(usize::MAX).last().unwrap().completed_at;
+        let reqs: Vec<ReadReq> =
+            (0..4u64).map(|i| ReadReq::new(i, mr.rkey, va + i * 32, 32)).collect();
+        let mut results = Vec::new();
+        qp.read_batch_into(&reqs, &mut vec![Vec::new(); 4], SimTime::ZERO, &mut results);
+        let end = results.iter().map(|r| r.completed_at).max().unwrap();
 
         let j = engine_metrics(&rnic, &qp, end).render();
         assert!(j.contains("\"doorbells\":1"), "{j}");
@@ -631,7 +631,7 @@ mod tests {
         assert!(j.contains("\"qp_posted\":4"), "{j}");
         assert!(j.contains("\"sq_depth_max\":4"), "{j}");
         assert!(j.contains("\"engine_utilization\":0."), "{j}");
-        // Per-class breakdown: the 4 untagged posts ride the latency class;
+        // Per-class breakdown: the 4 untagged reads ride the latency class;
         // QoS is off so scheduler admissions/waits are zero.
         assert!(j.contains("\"qos_enabled\":false"), "{j}");
         assert!(j.contains(r#"{"class":"latency","posted":4,"sq_depth_max":4"#), "{j}");

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use corm_sim_core::rng::{stream_rng, DetRng};
 use corm_sim_core::time::{SimDuration, SimTime};
-use corm_sim_rdma::{MuxTenant, QueuePair, RdmaError, ReadReq, ReadResult, VerbOutcome};
+use corm_sim_rdma::{MuxQp, MuxTenant, QueuePair, RdmaError, ReadReq, ReadResult};
 use corm_trace::{Stage, TraceHandle, Track};
 
 use crate::consistency::{self, ReadFailure};
@@ -68,91 +68,6 @@ impl Default for ClientConfig {
     }
 }
 
-/// The client's connection to the node: a dedicated reliable QP (the
-/// default, O(QP) host state per client), or one tenant slot on a
-/// DCT-style shared connection ([`MuxTenant`], O(1) state per client) —
-/// the Fig. 21 scale mode. Both expose the same verb surface, and the
-/// dedicated arm delegates straight to [`QueuePair`], so a client built
-/// without mux behaves bit-identically to one predating this enum.
-// A client embeds exactly one `Conn` — never collections of them — so the
-// Own/Mux size disparity wastes nothing, while boxing the QP would put an
-// indirection on every verb.
-#[allow(clippy::large_enum_variant)]
-enum Conn {
-    /// A dedicated queue pair owned by this client.
-    Own(QueuePair),
-    /// A tenant slot on a shared [`corm_sim_rdma::MuxQp`].
-    Mux(MuxTenant),
-}
-
-impl Conn {
-    fn read(
-        &self,
-        rkey: u32,
-        va: u64,
-        buf: &mut [u8],
-        now: SimTime,
-    ) -> Result<VerbOutcome, RdmaError> {
-        match self {
-            Conn::Own(qp) => qp.read(rkey, va, buf, now),
-            Conn::Mux(t) => t.read(rkey, va, buf, now),
-        }
-    }
-
-    fn write(
-        &self,
-        rkey: u32,
-        va: u64,
-        data: &[u8],
-        now: SimTime,
-    ) -> Result<VerbOutcome, RdmaError> {
-        match self {
-            Conn::Own(qp) => qp.write(rkey, va, data, now),
-            Conn::Mux(t) => t.write(rkey, va, data, now),
-        }
-    }
-
-    fn read_batch_into(
-        &self,
-        reqs: &[ReadReq],
-        outs: &mut [Vec<u8>],
-        now: SimTime,
-        results: &mut Vec<ReadResult>,
-    ) {
-        match self {
-            Conn::Own(qp) => qp.read_batch_into(reqs, outs, now, results),
-            Conn::Mux(t) => t.read_batch_into(reqs, outs, now, results),
-        }
-    }
-
-    /// Re-establishes the connection after a break. On a shared
-    /// connection only the first tenant through pays ([`MuxTenant`] is
-    /// idempotent-by-state); a dedicated QP always pays, as before.
-    fn reconnect(&self) -> SimDuration {
-        match self {
-            Conn::Own(qp) => qp.reconnect(),
-            Conn::Mux(t) => t.reconnect(),
-        }
-    }
-
-    /// The underlying queue pair — the client's own, or the shared one.
-    fn qp(&self) -> &QueuePair {
-        match self {
-            Conn::Own(qp) => qp,
-            Conn::Mux(t) => t.mux().qp(),
-        }
-    }
-
-    /// Host connection-state bytes attributable to *this* client: the
-    /// whole QP when dedicated, the per-tenant share when multiplexed.
-    fn state_bytes(&self) -> usize {
-        match self {
-            Conn::Own(qp) => qp.state_bytes(),
-            Conn::Mux(t) => t.mux().bytes_per_tenant(),
-        }
-    }
-}
-
 /// Result classification of a raw DirectRead attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReadOutcome {
@@ -165,7 +80,10 @@ pub enum ReadOutcome {
 /// A connected CoRM client.
 pub struct CormClient {
     server: Arc<CormServer>,
-    conn: Conn,
+    /// The client's tenant slot on a DCT-style shared connection. A plain
+    /// [`CormClient::connect`] gets the only slot of a fresh one-tenant
+    /// [`MuxQp`], which is exactly a dedicated queue pair.
+    conn: MuxTenant,
     config: ClientConfig,
     rng: DetRng,
     /// Trace recorder, shared with the server node (disabled by default).
@@ -214,17 +132,17 @@ impl CormClient {
         Self::connect_with(server, ClientConfig::default())
     }
 
-    /// Connects with explicit client configuration.
+    /// Connects with explicit client configuration: the client owns a
+    /// dedicated connection, the only tenant of a one-tenant [`MuxQp`].
     pub fn connect_with(server: Arc<CormServer>, config: ClientConfig) -> Self {
-        let conn = Conn::Own(QueuePair::connect(server.rnic().clone()));
-        Self::with_conn(server, config, conn)
+        let tenant = MuxQp::connect(server.rnic().clone(), 1).attach().expect("fresh mux");
+        Self::connect_mux_with(server, config, tenant)
     }
 
     /// Connects over a DCT-style shared connection (Fig. 21 scale mode):
-    /// the client occupies one tenant slot of a
-    /// [`corm_sim_rdma::MuxQp`] instead of owning a queue pair, dropping
-    /// its host connection state to O(1). Attach the tenant with
-    /// [`corm_sim_rdma::MuxQp::attach`] on a mux connected to
+    /// the client occupies one tenant slot of a [`MuxQp`] shared with
+    /// other clients, dropping its host connection state to O(1). Attach
+    /// the tenant with [`MuxQp::attach`] on a mux connected to
     /// [`CormServer::rnic`].
     pub fn connect_mux(server: Arc<CormServer>, tenant: MuxTenant) -> Self {
         Self::connect_mux_with(server, ClientConfig::default(), tenant)
@@ -234,12 +152,8 @@ impl CormClient {
     pub fn connect_mux_with(
         server: Arc<CormServer>,
         config: ClientConfig,
-        tenant: MuxTenant,
+        conn: MuxTenant,
     ) -> Self {
-        Self::with_conn(server, config, Conn::Mux(tenant))
-    }
-
-    fn with_conn(server: Arc<CormServer>, config: ClientConfig, conn: Conn) -> Self {
         let rng = stream_rng(config.seed, 0);
         let trace = server.trace().clone();
         CormClient {
@@ -269,22 +183,17 @@ impl CormClient {
         &self.server
     }
 
-    /// The client's queue pair (diagnostics) — its own, or the shared one
-    /// when connected through a mux.
+    /// The client's queue pair (diagnostics) — shared with the other
+    /// tenants of its connection, if any.
     pub fn qp(&self) -> &QueuePair {
-        self.conn.qp()
-    }
-
-    /// Whether this client rides a DCT-style shared connection.
-    pub fn is_mux(&self) -> bool {
-        matches!(self.conn, Conn::Mux(_))
+        self.conn.mux().qp()
     }
 
     /// Host connection-state bytes attributable to this client (the
-    /// Fig. 21 per-client memory curve): its whole QP when dedicated, its
-    /// share of the mux when multiplexed.
+    /// Fig. 21 per-client memory curve): its share of its connection —
+    /// the whole connection when it is the only tenant.
     pub fn conn_state_bytes(&self) -> usize {
-        self.conn.state_bytes()
+        self.conn.mux().bytes_per_tenant()
     }
 
     fn pick_worker(&mut self) -> usize {
@@ -448,7 +357,7 @@ impl CormClient {
             }
         };
         image.resize(slot_bytes, 0);
-        let verb = self.conn.read(ptr.rkey, ptr.vaddr, &mut image[..], now)?;
+        let verb = self.conn.mux().qp().read(ptr.rkey, ptr.vaddr, &mut image[..], now)?;
         let check = self.server.model().version_check_cost(slot_bytes);
         self.trace.span(Track::Client, Stage::Verb, op, now, verb.latency);
         self.trace.span(Track::Client, Stage::VersionCheck, op, now + verb.latency, check);
@@ -503,7 +412,7 @@ impl CormClient {
         let slot_bytes = self.slot_bytes(ptr)?;
         let base = ptr.block_base(block_bytes);
         image.resize(block_bytes, 0);
-        let verb = self.conn.read(ptr.rkey, base, &mut image[..], now)?;
+        let verb = self.conn.mux().qp().read(ptr.rkey, base, &mut image[..], now)?;
         let model = self.server.model();
         let slots = block_bytes / slot_bytes;
         let mut cost = verb.latency + model.scan_cost(slots);
@@ -654,10 +563,9 @@ impl CormClient {
     /// §4.2 benchmarks against): issues one READ per pointer under a
     /// single doorbell so the whole batch shares one doorbell cost and
     /// pipelines through the RNIC inbound engine, then validates every
-    /// completion per §3.2.2–§3.2.3. The wire work runs through the
-    /// synchronous [`QueuePair::read_batch_into`] path — slot images DMA
-    /// into client-recycled scratch buffers with virtual-time, fault, and
-    /// statistics semantics identical to post/doorbell/poll.
+    /// completion per §3.2.2–§3.2.3. The wire work is one
+    /// [`QueuePair::read_batch_into`] — slot images DMA into
+    /// client-recycled scratch buffers.
     ///
     /// Only failed entries are repaired, and each failure class keeps its
     /// sequential-path semantics:
@@ -714,14 +622,12 @@ impl CormClient {
                 for &i in pending.iter() {
                     match self.slot_bytes(&ptrs[i]) {
                         Ok(slot_bytes) => {
-                            // Multi-gets ride the latency class; on a shared
-                            // connection the mux re-tags the tenant itself.
-                            self.batch_reqs.push(ReadReq::new(
-                                i as u64,
-                                ptrs[i].rkey,
-                                ptrs[i].vaddr,
-                                slot_bytes,
-                            ));
+                            // Multi-gets ride the latency class, charged to
+                            // this client's tenant slot.
+                            self.batch_reqs.push(ReadReq {
+                                tenant: self.conn.slot(),
+                                ..ReadReq::new(i as u64, ptrs[i].rkey, ptrs[i].vaddr, slot_bytes)
+                            });
                         }
                         Err(_) => {
                             self.failed_direct_reads += 1;
@@ -734,21 +640,20 @@ impl CormClient {
                 let posted = self.batch_reqs.len();
                 if posted > 0 {
                     // Slot images DMA straight into the client's recycled
-                    // scratch buffers — the synchronous path with identical
-                    // virtual-time and fault semantics to post/doorbell/poll.
+                    // scratch buffers.
                     while self.batch_out.len() < posted {
                         self.batch_out.push(Vec::new());
                     }
-                    self.conn.read_batch_into(
+                    self.conn.mux().qp().read_batch_into(
                         &self.batch_reqs,
                         &mut self.batch_out[..posted],
                         clock,
                         &mut self.batch_results,
                     );
                     debug_assert_eq!(self.batch_results.len(), posted);
-                    // Walk results in virtual completion order — the order
-                    // poll_cq would have delivered them — so the repair and
-                    // retry lists keep their queued-path ordering.
+                    // Walk results in virtual completion order, so the
+                    // repair and retry lists are ordered by when each
+                    // entry's completion landed.
                     self.batch_order.clear();
                     self.batch_order.extend(0..posted);
                     let results = &self.batch_results;
@@ -923,7 +828,7 @@ impl CormClient {
         let mut locked_last = false;
         for _ in 0..self.config.max_retries {
             image.resize(slot_bytes, 0);
-            let verb = match self.conn.read(ptr.rkey, ptr.vaddr, &mut image[..], clock) {
+            let verb = match self.conn.mux().qp().read(ptr.rkey, ptr.vaddr, &mut image[..], clock) {
                 Ok(v) => v,
                 Err(e) if Self::recoverable(&e) => {
                     self.recover_qp(op, &mut reconnects, &mut total, &mut clock)?;
@@ -942,7 +847,7 @@ impl CormClient {
                     // Re-scatter in place: the validated image is dead
                     // after the header is extracted.
                     consistency::scatter_into(header.bump_version(), data, slot_bytes, image);
-                    match self.conn.write(ptr.rkey, ptr.vaddr, image, clock) {
+                    match self.conn.mux().qp().write(ptr.rkey, ptr.vaddr, image, clock) {
                         Ok(v) => {
                             let copy = model.copy_cost(data.len());
                             self.trace.span(Track::Client, Stage::Verb, op, clock, v.latency);

@@ -580,7 +580,10 @@ impl CormServer {
     /// Allocates an object of `payload_len` bytes on behalf of a client,
     /// served by `worker`. Returns the 128-bit pointer.
     pub fn alloc(&self, worker: usize, payload_len: usize) -> Result<Timed<GlobalPtr>, CormError> {
+        // Classes ascend in size, so if the smallest class that fits the
+        // payload does not fit in a block, no class does.
         let class = consistency::class_for_payload(self.classes(), payload_len)
+            .filter(|&c| self.classes().size_of(c) <= self.block_bytes())
             .ok_or(CormError::PayloadTooLarge(payload_len))?;
         let model = self.model().clone();
         let mut cost = model.alloc_free_extra;

@@ -17,6 +17,10 @@ fn payload_too_large_rejected_on_alloc_and_write() {
     let mut client = CormClient::connect(server.clone());
     let err = client.alloc(1 << 20).unwrap_err();
     assert!(matches!(err, CormError::PayloadTooLarge(_)), "{err:?}");
+    // A payload whose class exists but is larger than a block is rejected
+    // too, not left to the allocator.
+    let err = client.alloc(5000).unwrap_err();
+    assert!(matches!(err, CormError::PayloadTooLarge(5000)), "{err:?}");
     // A write larger than the object's class capacity is rejected too.
     let mut ptr = client.alloc(16).unwrap().value;
     let big = vec![0u8; 4096];

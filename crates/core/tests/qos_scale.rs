@@ -3,14 +3,14 @@
 //! Three invariants guard the QoS/mux machinery:
 //!
 //! 1. **Uniform QoS is invisible**: a seeded run with an equal-weights
-//!    [`QosConfig`] (scheduler on, uniform discipline) is byte-identical —
-//!    costs, payloads, *and* the traced event stream — to the same run
-//!    with QoS off. Enabling the feature without skewing weights cannot
-//!    perturb any pinned replay.
-//! 2. **Mux replay identity**: a client riding a DCT-style shared
-//!    connection alone replays a seeded faulty workload byte-for-byte
-//!    like a client owning its QP — the mux re-tags ids, it never changes
-//!    what reaches the NIC.
+//!    [`QosConfig`] (which builds no scheduler) is byte-identical — costs,
+//!    payloads, *and* the traced event stream — to the same run with QoS
+//!    off. Enabling the feature without skewing weights cannot perturb any
+//!    pinned replay.
+//! 2. **Sharing replay identity**: a client sharing its connection with
+//!    idle tenants replays a seeded faulty workload byte-for-byte like the
+//!    connection's sole tenant — other tenants' slots never change what
+//!    reaches the NIC.
 //! 3. **Shared-connection recovery**: a QP break on a [`MuxQp`] fails all
 //!    tenants, and every client recovers through its ordinary backoff
 //!    path; the first reconnect heals the connection for everyone.
@@ -21,7 +21,9 @@ use corm_core::client::CormClient;
 use corm_core::server::{CormServer, ServerConfig};
 use corm_core::GlobalPtr;
 use corm_sim_core::time::SimTime;
-use corm_sim_rdma::{FaultConfig, FaultKind, MuxQp, QosConfig, RnicConfig, ScheduledFault};
+use corm_sim_rdma::{
+    FaultConfig, FaultKind, MuxQp, QosConfig, QueuePair, RnicConfig, ScheduledFault,
+};
 use corm_trace::{diff_events, TraceHandle};
 
 const SIZE: usize = 48;
@@ -58,17 +60,23 @@ fn faulty_config(trace: TraceHandle, qos: Option<QosConfig>) -> ServerConfig {
     }
 }
 
-/// Batched multi-get workload under seeded faults; `mux` rides the client
-/// on a shared connection (as its only tenant). Returns per-batch costs
-/// and the payloads — the replay fingerprint.
-fn run_batched(config: ServerConfig, mux: bool) -> (Vec<u64>, Vec<Vec<u8>>) {
+/// Batched multi-get workload under seeded faults. With `idle_tenants`
+/// of zero the client is its connection's sole tenant; otherwise it
+/// shares a [`MuxQp`] with that many idle tenants, half attached before it
+/// and half after. Returns per-batch costs and the payloads — the replay
+/// fingerprint.
+fn run_batched(config: ServerConfig, idle_tenants: usize) -> (Vec<u64>, Vec<Vec<u8>>) {
     let (server, ptrs) = populate(config);
-    let mut client = if mux {
-        let shared = MuxQp::connect(server.rnic().clone(), 8);
-        let tenant = shared.attach().expect("attach");
-        CormClient::connect_mux(server.clone(), tenant)
-    } else {
+    let mut client = if idle_tenants == 0 {
         CormClient::connect(server.clone())
+    } else {
+        let shared = MuxQp::connect(server.rnic().clone(), idle_tenants + 1);
+        let before: Vec<_> = (0..idle_tenants / 2).map(|_| shared.attach()).collect();
+        let client = CormClient::connect_mux(server.clone(), shared.attach().expect("attach"));
+        let after: Vec<_> = (before.len()..idle_tenants).map(|_| shared.attach()).collect();
+        assert!(before.iter().chain(&after).all(Option::is_some));
+        assert_eq!(shared.tenants(), idle_tenants + 1);
+        client
     };
     let keys: Vec<usize> = {
         let mut rng = corm_sim_core::rng::stream_rng(21, 5);
@@ -91,13 +99,13 @@ fn run_batched(config: ServerConfig, mux: bool) -> (Vec<u64>, Vec<Vec<u8>>) {
 #[test]
 fn uniform_qos_replays_byte_identically_to_qos_off() {
     let t_off = TraceHandle::recording();
-    let off = run_batched(faulty_config(t_off.clone(), None), false);
+    let off = run_batched(faulty_config(t_off.clone(), None), 0);
     let t_on = TraceHandle::recording();
-    let on = run_batched(faulty_config(t_on.clone(), Some(QosConfig::equal_weights())), false);
+    let on = run_batched(faulty_config(t_on.clone(), Some(QosConfig::equal_weights())), 0);
     assert_eq!(off.0, on.0, "per-batch costs must be identical with uniform QoS");
     assert_eq!(off.1, on.1, "payloads must be identical with uniform QoS");
-    // The uniform discipline imposes zero class wait, so not even the
-    // trace stream may differ (no QosClassWait spans).
+    // A uniform config runs no scheduler, so not even the trace stream may
+    // differ (no QosClassWait spans).
     let (e_off, e_on) = (t_off.drain(), t_on.drain());
     assert!(!e_off.is_empty());
     let d = diff_events(&e_off, &e_on);
@@ -105,11 +113,22 @@ fn uniform_qos_replays_byte_identically_to_qos_off() {
 }
 
 #[test]
-fn mux_client_replays_byte_identically_to_own_qp() {
-    let own = run_batched(faulty_config(TraceHandle::disabled(), None), false);
-    let mux = run_batched(faulty_config(TraceHandle::disabled(), None), true);
-    assert_eq!(own.0, mux.0, "per-batch costs must be identical mux vs own QP");
-    assert_eq!(own.1, mux.1, "payloads must be identical mux vs own QP");
+fn sole_tenant_replays_byte_identically_to_one_sharing_with_idle_tenants() {
+    let sole = run_batched(faulty_config(TraceHandle::disabled(), None), 0);
+    let shared = run_batched(faulty_config(TraceHandle::disabled(), None), 6);
+    assert_eq!(sole.0, shared.0, "per-batch costs must be identical sole vs shared");
+    assert_eq!(sole.1, shared.1, "payloads must be identical sole vs shared");
+}
+
+#[test]
+fn sole_tenant_conn_state_is_its_qp_plus_the_mux_header() {
+    let (server, _) = populate(ServerConfig::default());
+    let client = CormClient::connect(server);
+    let header = std::mem::size_of::<MuxQp>() - std::mem::size_of::<QueuePair>();
+    assert_eq!(client.conn_state_bytes(), client.qp().state_bytes() + header);
+    // The QP itself: its struct plus send and completion rings at
+    // provisioned depth (128 entries of 56 B and 80 B).
+    assert_eq!(client.qp().state_bytes(), std::mem::size_of::<QueuePair>() + 17_408);
 }
 
 #[test]

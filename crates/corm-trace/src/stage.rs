@@ -44,7 +44,7 @@ pub enum Stage {
     RpcWire,
     /// Makespan of one batched-verb window (doorbell to last completion).
     BatchWindow,
-    /// WQE posted to a send queue (counter; posting itself is free).
+    /// WQE posted in a doorbell batch (counter; posting itself is free).
     WqePost,
     /// Doorbell cost admitting a batch into the RNIC.
     Doorbell,

@@ -86,7 +86,7 @@ pub struct LatencyModel {
     pub nic_miss_service_extra: SimDuration,
     /// Cost of ringing the doorbell once for a posted batch: the MMIO write
     /// plus the WQE-fetch DMA the NIC issues in response. Paid once per
-    /// `ring_doorbell`, regardless of how many WQEs the batch carries —
+    /// `read_batch_into`, regardless of how many WQEs the batch carries —
     /// this is the amortization that lets pipelined postings approach the
     /// engine's service rate (NP-RDMA measures the per-verb doorbell+fetch
     /// overhead at a few hundred nanoseconds on ConnectX-class NICs).

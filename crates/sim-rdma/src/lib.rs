@@ -24,11 +24,12 @@
 //!   an LRU translation cache (the Zipf-locality effect of Fig. 12), and
 //!   one-sided READ/WRITE verbs executed against physical frames.
 //! - [`QueuePair`]: reliable connection semantics — invalid accesses move
-//!   the QP to the error state and reconnecting costs milliseconds. QPs
-//!   also expose the asynchronous verb path: `post_read`/`post_write`
-//!   enqueue [`Wqe`]s, `ring_doorbell` admits the batch into the RNIC's
-//!   FIFO inbound engine for one doorbell cost plus per-WQE service, and
-//!   `poll_cq` drains [`Completion`]s in virtual-time order.
+//!   the QP to the error state and reconnecting costs milliseconds. The
+//!   one batch verb is [`QueuePair::read_batch_into`]: a slice of
+//!   [`ReadReq`]s pays one doorbell, each READ is admitted into the RNIC's
+//!   inbound engine for its service time, and every payload lands in the
+//!   caller's buffer with a [`ReadResult`] carrying its completion time.
+//! - [`MuxQp`]: DCT-style shared connections, many tenants over one QP.
 //! - [`rpc`]: a two-sided SEND/RECV fabric (crossbeam channels) used by the
 //!   threaded CoRM server.
 
@@ -36,7 +37,6 @@ pub mod cache;
 pub mod fault;
 pub mod latency;
 pub mod mux;
-pub mod pool;
 pub mod qp;
 pub mod rnic;
 pub mod rpc;
@@ -48,8 +48,7 @@ pub use corm_sim_core::lanes::LaneId;
 pub use fault::{FaultBlock, FaultConfig, FaultInjector, FaultKind, ScheduledFault};
 pub use latency::{CpuKind, DeviceKind, LatencyModel, MttUpdateStrategy};
 pub use mux::{MuxQp, MuxTenant};
-pub use pool::{BufPool, PooledBuf};
 pub use qp::{QpDepthStats, QpState, QueuePair};
 pub use rnic::{MemoryRegion, RdmaError, Rnic, RnicConfig, VerbOutcome};
 pub use sched::{QosAdmission, QosConfig, QosScheduler, TrafficClass};
-pub use wq::{Completion, ReadReq, ReadResult, Wqe, WqeOp};
+pub use wq::{ReadReq, ReadResult};

@@ -1,50 +1,34 @@
 //! DCT-style shared connections: many tenants over one queue pair.
 //!
-//! A reliable QP's host state is O(clients): each connection owns a send
-//! queue, a completion queue, and counters — ~kilobytes per client once
-//! the queues have seen a deep batch. At 10⁵–10⁶ clients that state is the
-//! scaling limit, which is why Mellanox ships Dynamically Connected
-//! Transport (and why NP-RDMA argues for keeping NIC-resident state small
-//! and bounded). [`MuxQp`] models that discipline: up to K tenants share
-//! one [`QueuePair`]'s send/recv machinery, and each tenant keeps only a
-//! [`MuxTenant`] handle plus a ~16-byte accounting slot — per-client
-//! memory is O(1) while the wire behaviour (doorbells, engine service,
-//! fault draws, break/flush semantics) is exactly the shared QP's.
+//! A reliable QP's host state is O(clients): each connection provisions a
+//! send ring, a completion ring, and counters — ~17 KiB per client at the
+//! provisioned depth. At 10⁵–10⁶ clients that state is the scaling limit,
+//! which is why Mellanox ships Dynamically Connected Transport (and why
+//! NP-RDMA argues for keeping NIC-resident state small and bounded).
+//! [`MuxQp`] models that discipline: up to K tenants share one
+//! [`QueuePair`], and each tenant keeps only a [`MuxTenant`] handle —
+//! per-client memory is O(1) while the wire behaviour (doorbells, engine
+//! service, fault draws, break/flush semantics) is exactly the shared QP's.
+//! A one-tenant mux *is* a dedicated connection, which is how every
+//! `CormClient` connects.
 //!
-//! Completion routing works like DCT's: every WQE's `wr_id` is tagged with
-//! the issuing tenant's slot in the high bits, and results are routed back
-//! with the tag stripped, so callers see the same `wr_id`s they posted.
+//! A batch's results return straight to the tenant that rang its doorbell,
+//! so no completion routing is needed; the tenant's slot rides in
+//! [`crate::ReadReq::tenant`] for QoS accounting, written by the caller.
 //! Faults keep reliable-connection semantics on the *shared* connection: a
 //! QP break fails every tenant's in-flight WQEs, and one reconnect — by
 //! whichever tenant's recovery path gets there first — restores all of
-//! them ([`MuxTenant::reconnect`] is idempont-by-state, so the remaining
+//! them ([`MuxTenant::reconnect`] is idempotent-by-state, so the remaining
 //! tenants' recovery loops find the connection already up and pay
 //! nothing).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use corm_sim_core::time::{SimDuration, SimTime};
+use corm_sim_core::time::SimDuration;
 
 use crate::qp::{QpState, QueuePair};
-use crate::rnic::{RdmaError, Rnic, VerbOutcome};
-use crate::wq::{ReadReq, ReadResult};
-
-/// Number of low bits of a `wr_id` left to the tenant; the slot tag lives
-/// above them.
-const WR_ID_BITS: u32 = 48;
-const WR_ID_MASK: u64 = (1 << WR_ID_BITS) - 1;
-
-/// Per-tenant accounting: the only per-client state the shared connection
-/// keeps, deliberately a fraction of a cache line.
-#[derive(Debug, Clone, Copy, Default)]
-struct TenantSlot {
-    /// WQEs this tenant posted through the shared QP.
-    posted: u64,
-    /// Completions routed back to this tenant.
-    completed: u64,
-}
+use crate::rnic::Rnic;
 
 /// A shared connection multiplexing up to `max_tenants` tenants over one
 /// queue pair. Create with [`MuxQp::connect`], then hand each client a
@@ -52,9 +36,7 @@ struct TenantSlot {
 #[derive(Debug)]
 pub struct MuxQp {
     qp: QueuePair,
-    tenants: Mutex<Vec<TenantSlot>>,
-    /// Scratch for re-tagging request batches, recycled across calls.
-    scratch: Mutex<Vec<ReadReq>>,
+    tenants: AtomicUsize,
     max_tenants: usize,
 }
 
@@ -64,26 +46,25 @@ impl MuxQp {
     pub fn connect(rnic: Arc<Rnic>, max_tenants: usize) -> Arc<MuxQp> {
         Arc::new(MuxQp {
             qp: QueuePair::connect(rnic),
-            tenants: Mutex::new(Vec::new()),
-            scratch: Mutex::new(Vec::new()),
+            tenants: AtomicUsize::new(0),
             max_tenants: max_tenants.max(1),
         })
     }
 
     /// Attaches one more tenant, or `None` if the connection is full.
     pub fn attach(self: &Arc<MuxQp>) -> Option<MuxTenant> {
-        let mut tenants = self.tenants.lock();
-        if tenants.len() >= self.max_tenants {
-            return None;
-        }
-        let slot = tenants.len() as u32;
-        tenants.push(TenantSlot::default());
-        Some(MuxTenant { mux: Arc::clone(self), slot })
+        let slot = self
+            .tenants
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < self.max_tenants).then_some(n + 1)
+            })
+            .ok()?;
+        Some(MuxTenant { mux: Arc::clone(self), slot: slot as u32 })
     }
 
     /// Number of tenants attached.
     pub fn tenants(&self) -> usize {
-        self.tenants.lock().len()
+        self.tenants.load(Ordering::Relaxed)
     }
 
     /// Maximum tenants this connection admits.
@@ -98,14 +79,11 @@ impl MuxQp {
     }
 
     /// Total bytes of connection state pinned for *all* attached tenants:
-    /// the one shared QP plus every tenant's accounting slot and the
-    /// re-tagging scratch. Divide by [`MuxQp::tenants`] for the per-client
-    /// cost the mux mode is buying down.
+    /// the one shared QP ([`QueuePair::state_bytes`]) plus the mux header
+    /// around it. Divide by [`MuxQp::tenants`] for the per-client cost the
+    /// mux mode is buying down.
     pub fn state_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.qp.state_bytes()
-            + self.tenants.lock().capacity() * std::mem::size_of::<TenantSlot>()
-            + self.scratch.lock().capacity() * std::mem::size_of::<ReadReq>()
+        std::mem::size_of::<Self>() - std::mem::size_of::<QueuePair>() + self.qp.state_bytes()
     }
 
     /// Bytes of connection state per attached tenant (the fig21 curve).
@@ -115,9 +93,9 @@ impl MuxQp {
     }
 }
 
-/// One tenant's handle onto a shared [`MuxQp`]. API-compatible with the
-/// slice of [`QueuePair`] the client hot paths use, so a client can run
-/// over either interchangeably.
+/// One tenant's handle onto a shared [`MuxQp`]. Verbs go through the
+/// shared [`MuxQp::qp`]; batches are charged to the tenant by setting
+/// [`crate::ReadReq::tenant`] to [`MuxTenant::slot`].
 #[derive(Debug, Clone)]
 pub struct MuxTenant {
     mux: Arc<MuxQp>,
@@ -133,69 +111,6 @@ impl MuxTenant {
     /// The shared connection this tenant rides.
     pub fn mux(&self) -> &Arc<MuxQp> {
         &self.mux
-    }
-
-    /// One-sided READ through the shared QP. Errors break the shared
-    /// connection for every tenant, per reliable-connection semantics.
-    pub fn read(
-        &self,
-        rkey: u32,
-        va: u64,
-        buf: &mut [u8],
-        now: SimTime,
-    ) -> Result<VerbOutcome, RdmaError> {
-        self.mux.qp.read(rkey, va, buf, now)
-    }
-
-    /// One-sided WRITE through the shared QP.
-    pub fn write(
-        &self,
-        rkey: u32,
-        va: u64,
-        data: &[u8],
-        now: SimTime,
-    ) -> Result<VerbOutcome, RdmaError> {
-        self.mux.qp.write(rkey, va, data, now)
-    }
-
-    /// Synchronous READ batch through the shared QP, with DCT-style
-    /// completion routing: requests are re-tagged with this tenant's slot
-    /// (high `wr_id` bits + the QoS tenant field) on the way in, and
-    /// results come back with the caller's original `wr_id`s — semantics
-    /// otherwise identical to [`QueuePair::read_batch_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if a `wr_id` uses the top 16 bits reserved for the
-    /// slot tag.
-    pub fn read_batch_into(
-        &self,
-        reqs: &[ReadReq],
-        outs: &mut [Vec<u8>],
-        now: SimTime,
-        results: &mut Vec<ReadResult>,
-    ) {
-        let tag = (self.slot as u64) << WR_ID_BITS;
-        let mut scratch = self.mux.scratch.lock();
-        scratch.clear();
-        scratch.extend(reqs.iter().map(|r| {
-            debug_assert_eq!(r.wr_id & !WR_ID_MASK, 0, "wr_id collides with the slot tag");
-            ReadReq { wr_id: tag | (r.wr_id & WR_ID_MASK), tenant: self.slot, ..*r }
-        }));
-        self.mux.qp.read_batch_into(&scratch, outs, now, results);
-        drop(scratch);
-        // Route completions back to this tenant: strip the slot tag so the
-        // caller sees its own ids.
-        let mut routed = 0u64;
-        for r in results.iter_mut() {
-            debug_assert_eq!((r.wr_id >> WR_ID_BITS) as u32, self.slot, "foreign completion");
-            r.wr_id &= WR_ID_MASK;
-            routed += 1;
-        }
-        let mut tenants = self.mux.tenants.lock();
-        let slot = &mut tenants[self.slot as usize];
-        slot.posted += reqs.len() as u64;
-        slot.completed += routed;
     }
 
     /// Recovers the shared connection after a break. The first tenant
@@ -215,19 +130,14 @@ impl MuxTenant {
     pub fn state(&self) -> QpState {
         self.mux.qp.state()
     }
-
-    /// WQEs this tenant posted and completions routed back to it.
-    pub fn counters(&self) -> (u64, u64) {
-        let tenants = self.mux.tenants.lock();
-        let s = tenants[self.slot as usize];
-        (s.posted, s.completed)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rnic::RnicConfig;
+    use crate::rnic::{RdmaError, RnicConfig};
+    use crate::wq::ReadReq;
+    use corm_sim_core::time::SimTime;
     use corm_sim_mem::{AddressSpace, PhysicalMemory};
 
     fn setup(pages: usize, cfg: RnicConfig) -> (Arc<AddressSpace>, Arc<Rnic>, u64) {
@@ -240,7 +150,7 @@ mod tests {
     }
 
     #[test]
-    fn tenants_share_one_qp_with_routed_completions() {
+    fn tenants_share_one_qp_and_get_their_own_results() {
         let (aspace, rnic, va) = setup(4, RnicConfig::default());
         let (mr, _) = rnic.register(va, 4, false).unwrap();
         for i in 0..4u64 {
@@ -255,18 +165,21 @@ mod tests {
         // Tenant A reads pages 0-1 with its own small wr_ids...
         let reqs_a: Vec<ReadReq> =
             (0..2u64).map(|i| ReadReq::new(i, mr.rkey, va + i * 4096, 16)).collect();
-        a.read_batch_into(&reqs_a, &mut outs, SimTime::ZERO, &mut results);
+        a.mux().qp().read_batch_into(&reqs_a, &mut outs, SimTime::ZERO, &mut results);
         assert_eq!(results.iter().map(|r| r.wr_id).collect::<Vec<_>>(), vec![0, 1]);
         assert!(results.iter().all(|r| r.result.is_ok()));
         assert_eq!(outs[0], [1u8; 16]);
-        // ...and tenant B reuses the same wr_ids without collision.
-        let reqs_b: Vec<ReadReq> =
-            (0..2u64).map(|i| ReadReq::new(i, mr.rkey, va + (i + 2) * 4096, 16)).collect();
-        b.read_batch_into(&reqs_b, &mut outs, SimTime::from_micros(9), &mut results);
+        // ...and tenant B reuses the same wr_ids, tagged with its slot.
+        let reqs_b: Vec<ReadReq> = (0..2u64)
+            .map(|i| ReadReq {
+                tenant: b.slot(),
+                ..ReadReq::new(i, mr.rkey, va + (i + 2) * 4096, 16)
+            })
+            .collect();
+        b.mux().qp().read_batch_into(&reqs_b, &mut outs, SimTime::from_micros(9), &mut results);
         assert_eq!(results.iter().map(|r| r.wr_id).collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(outs[0], [3u8; 16]);
-        assert_eq!(a.counters(), (2, 2));
-        assert_eq!(b.counters(), (2, 2));
+        assert_eq!(outs[1], [4u8; 16]);
         // One QP absorbed both tenants' traffic.
         assert_eq!(mux.qp().depth_stats().posted, 4);
         assert_eq!(mux.qp().depth_stats().doorbells, 2);
@@ -297,7 +210,7 @@ mod tests {
         let mut results = Vec::new();
         own.read_batch_into(&reqs, &mut outs, SimTime::ZERO, &mut results);
         for t in tenants.iter().take(4) {
-            t.read_batch_into(&reqs, &mut outs, SimTime::ZERO, &mut results);
+            t.mux().qp().read_batch_into(&reqs, &mut outs, SimTime::ZERO, &mut results);
         }
         assert!(
             mux.bytes_per_tenant() * 50 <= own.state_bytes(),
@@ -327,11 +240,11 @@ mod tests {
         let reqs: Vec<ReadReq> = (0..2u64).map(|i| ReadReq::new(i, mr.rkey, va, 8)).collect();
         // Tenant A's second WQE draws the QP break; the shared connection
         // is down for everyone.
-        a.read_batch_into(&reqs, &mut outs, SimTime::ZERO, &mut results);
+        a.mux().qp().read_batch_into(&reqs, &mut outs, SimTime::ZERO, &mut results);
         assert!(results[1].result.is_err());
         assert_eq!(a.state(), QpState::Error);
         // Tenant B's traffic flushes without reaching the NIC.
-        b.read_batch_into(&reqs, &mut outs, SimTime::from_micros(5), &mut results);
+        b.mux().qp().read_batch_into(&reqs, &mut outs, SimTime::from_micros(5), &mut results);
         assert!(results.iter().all(|r| r.result == Err(RdmaError::QpBroken)));
         // B recovers first and pays the reconnect; A then finds the
         // connection already up and pays nothing.
@@ -339,9 +252,9 @@ mod tests {
         assert_eq!(a.reconnect(), SimDuration::ZERO);
         assert_eq!(mux.qp().reconnects(), 1);
         // Both tenants are live again.
-        a.read_batch_into(&reqs, &mut outs, SimTime::from_micros(90), &mut results);
+        a.mux().qp().read_batch_into(&reqs, &mut outs, SimTime::from_micros(90), &mut results);
         assert!(results.iter().all(|r| r.result.is_ok()));
-        b.read_batch_into(&reqs, &mut outs, SimTime::from_micros(95), &mut results);
+        b.mux().qp().read_batch_into(&reqs, &mut outs, SimTime::from_micros(95), &mut results);
         assert!(results.iter().all(|r| r.result.is_ok()));
     }
 
@@ -371,7 +284,7 @@ mod tests {
                 let mux = MuxQp::connect(rnic.clone(), 2);
                 let t = mux.attach().unwrap();
                 for round in 0..40u64 {
-                    t.read_batch_into(
+                    t.mux().qp().read_batch_into(
                         &reqs,
                         &mut outs,
                         SimTime::from_micros(round * 40),

@@ -6,7 +6,6 @@
 //! to the error state, and recovering the connection costs milliseconds
 //! (§3.5). CoRM's whole remapping design exists to never trigger this.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -16,10 +15,9 @@ use corm_sim_core::lanes::LaneId;
 use corm_sim_core::time::{SimDuration, SimTime};
 use corm_trace::Stage;
 
-use crate::pool::PooledBuf;
 use crate::rnic::{RdmaError, Rnic, VerbOutcome};
 use crate::sched::TrafficClass;
-use crate::wq::{Completion, ReadReq, ReadResult, Wqe, WqeOp};
+use crate::wq::{ReadReq, ReadResult};
 
 /// Connection state of a queue pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,24 +29,25 @@ pub enum QpState {
     Error,
 }
 
-/// Work-queue depth statistics for the batched verb path, exported to the
-/// benchmark report next to the fault/recovery metrics.
+/// Batch statistics for the doorbell-batched verb path, exported to the
+/// benchmark report next to the fault/recovery metrics. A batch is posted,
+/// served and completed by one call, so its size is both the send- and
+/// the completion-queue depth it would have occupied.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QpDepthStats {
-    /// WQEs posted to the send queue.
+    /// Requests posted.
     pub posted: u64,
-    /// Completions pushed to the completion queue (executed + flushed).
+    /// Requests completed (executed + flushed).
     pub completed: u64,
-    /// Doorbells rung with a non-empty send queue.
+    /// Doorbells rung with a non-empty batch.
     pub doorbells: u64,
-    /// High-water mark of the send-queue depth.
+    /// Largest batch, as a send-queue depth.
     pub sq_depth_max: u64,
-    /// High-water mark of the completion-queue depth.
+    /// Largest batch, as a completion-queue depth.
     pub cq_depth_max: u64,
-    /// WQEs posted per traffic class, indexed by [`TrafficClass`].
+    /// Requests posted per traffic class, indexed by [`TrafficClass`].
     pub class_posted: [u64; TrafficClass::COUNT],
-    /// Per-class high-water mark of the send-queue depth, indexed by
-    /// [`TrafficClass`].
+    /// Per-class largest share of one batch, indexed by [`TrafficClass`].
     pub class_sq_depth_max: [u64; TrafficClass::COUNT],
 }
 
@@ -62,20 +61,14 @@ pub struct QueuePair {
     state: Mutex<QpState>,
     reconnects: AtomicU64,
     breaks: AtomicU64,
-    /// Send queue: WQEs posted but not yet admitted by a doorbell.
-    sq: Mutex<Vec<Wqe>>,
-    /// Completion queue: executed/flushed WQEs awaiting `poll_cq`.
-    cq: Mutex<VecDeque<Completion>>,
+    /// Requests posted; every batch completes within its call, so this
+    /// also counts completions.
     posted: AtomicU64,
-    completed: AtomicU64,
     doorbells: AtomicU64,
-    sq_depth_max: AtomicU64,
-    cq_depth_max: AtomicU64,
+    /// Largest batch, which is both the send- and completion-queue depth.
+    batch_max: AtomicU64,
     class_posted: [AtomicU64; TrafficClass::COUNT],
-    /// Current per-class send-queue occupancy (updated under the `sq`
-    /// lock; atomics only so `depth_stats` can read without it).
-    class_sq_depth: [AtomicU64; TrafficClass::COUNT],
-    class_sq_depth_max: [AtomicU64; TrafficClass::COUNT],
+    class_batch_max: [AtomicU64; TrafficClass::COUNT],
 }
 
 impl std::fmt::Debug for QueuePair {
@@ -101,16 +94,11 @@ impl QueuePair {
             state: Mutex::new(QpState::Connected),
             reconnects: AtomicU64::new(0),
             breaks: AtomicU64::new(0),
-            sq: Mutex::new(Vec::new()),
-            cq: Mutex::new(VecDeque::new()),
             posted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
             doorbells: AtomicU64::new(0),
-            sq_depth_max: AtomicU64::new(0),
-            cq_depth_max: AtomicU64::new(0),
+            batch_max: AtomicU64::new(0),
             class_posted: Default::default(),
-            class_sq_depth: Default::default(),
-            class_sq_depth_max: Default::default(),
+            class_batch_max: Default::default(),
         }
     }
 
@@ -170,123 +158,15 @@ impl QueuePair {
         }
     }
 
-    /// Enqueues a READ WQE on the send queue. Nothing executes until
-    /// [`QueuePair::ring_doorbell`]; `wr_id` is echoed in the completion.
-    /// Rides the latency class as the default tenant.
-    pub fn post_read(&self, rkey: u32, va: u64, len: usize, wr_id: u64) {
-        self.post_read_tagged(rkey, va, len, wr_id, 0, TrafficClass::Latency);
-    }
-
-    /// Enqueues a WRITE WQE on the send queue (latency class, default
-    /// tenant).
-    pub fn post_write(&self, rkey: u32, va: u64, data: Vec<u8>, wr_id: u64) {
-        self.post_write_tagged(rkey, va, data, wr_id, 0, TrafficClass::Latency);
-    }
-
-    /// Enqueues a READ WQE charged to `tenant` under `class`.
-    pub fn post_read_tagged(
-        &self,
-        rkey: u32,
-        va: u64,
-        len: usize,
-        wr_id: u64,
-        tenant: u32,
-        class: TrafficClass,
-    ) {
-        self.post(Wqe { wr_id, op: WqeOp::Read { rkey, va, len }, tenant, class });
-    }
-
-    /// Enqueues a WRITE WQE charged to `tenant` under `class`.
-    pub fn post_write_tagged(
-        &self,
-        rkey: u32,
-        va: u64,
-        data: Vec<u8>,
-        wr_id: u64,
-        tenant: u32,
-        class: TrafficClass,
-    ) {
-        self.post(Wqe { wr_id, op: WqeOp::Write { rkey, va, data }, tenant, class });
-    }
-
-    fn post(&self, wqe: Wqe) {
-        let mut sq = self.sq.lock();
-        let class = wqe.class.index();
-        sq.push(wqe);
-        self.posted.fetch_add(1, Ordering::Relaxed);
-        self.sq_depth_max.fetch_max(sq.len() as u64, Ordering::Relaxed);
-        self.class_posted[class].fetch_add(1, Ordering::Relaxed);
-        let depth = self.class_sq_depth[class].fetch_add(1, Ordering::Relaxed) + 1;
-        self.class_sq_depth_max[class].fetch_max(depth, Ordering::Relaxed);
-        // Posting is free in virtual time (the doorbell pays); count it so
-        // the metrics registry can report posted-vs-served divergence.
-        self.rnic.trace().count(Stage::WqePost);
-    }
-
-    /// Rings the doorbell: the entire send queue is handed to the NIC as
-    /// one batch, paying a single doorbell cost plus per-WQE engine
-    /// service. Completions (in virtual-time order) are appended to the
-    /// completion queue for [`QueuePair::poll_cq`]. If any WQE fails the
-    /// QP moves to the error state and the rest of the batch is flushed;
-    /// if the QP is *already* broken, every WQE completes flushed without
-    /// reaching the NIC. Returns the number of completions produced.
-    pub fn ring_doorbell(&self, now: SimTime) -> usize {
-        let mut wqes: Vec<Wqe> = {
-            let mut sq = self.sq.lock();
-            let wqes = std::mem::take(&mut *sq);
-            // The whole queue drains in one batch; occupancy resets under
-            // the same lock posts update it with.
-            for depth in &self.class_sq_depth {
-                depth.store(0, Ordering::Relaxed);
-            }
-            wqes
-        };
-        if wqes.is_empty() {
-            return 0;
-        }
-        self.doorbells.fetch_add(1, Ordering::Relaxed);
-        let completions = if *self.state.lock() == QpState::Error {
-            wqes.drain(..)
-                .map(|w| Completion {
-                    wr_id: w.wr_id,
-                    completed_at: now,
-                    result: Err(RdmaError::QpBroken),
-                    data: PooledBuf::empty(),
-                })
-                .collect()
-        } else {
-            let completions = self.rnic.serve_batch_on(self.lane, &mut wqes, now);
-            if completions.iter().any(|c| c.result.is_err()) {
-                *self.state.lock() = QpState::Error;
-                self.breaks.fetch_add(1, Ordering::Relaxed);
-            }
-            completions
-        };
-        // Hand the drained vector's capacity back to the send queue so
-        // steady-state batches re-post without reallocating.
-        {
-            let mut sq = self.sq.lock();
-            if sq.is_empty() && sq.capacity() < wqes.capacity() {
-                *sq = wqes;
-            }
-        }
-        let n = completions.len();
-        self.completed.fetch_add(n as u64, Ordering::Relaxed);
-        let mut cq = self.cq.lock();
-        cq.extend(completions);
-        self.cq_depth_max.fetch_max(cq.len() as u64, Ordering::Relaxed);
-        n
-    }
-
-    /// Synchronously executes an all-READ batch, landing each payload
-    /// directly in `outs[k]` (resized to the request's length): the
-    /// zero-copy twin of `post_read`×n + [`QueuePair::ring_doorbell`] +
-    /// [`QueuePair::poll_cq`]. Depth statistics, break/flush behaviour,
-    /// fault draws, and virtual completion times are identical to the
-    /// queued path — only the send/completion-queue traffic and the
-    /// staging copies are gone. `results` is cleared and refilled **in
-    /// posting order**; callers needing virtual-completion order (what
-    /// `poll_cq` returns) sort stably by `completed_at`.
+    /// Rings one doorbell for a batch of READs, landing each payload
+    /// directly in `outs[k]` (resized to the request's length). The batch
+    /// pays a single doorbell cost plus per-request engine service (see
+    /// [`Rnic`]'s batch serve). If any request fails the QP moves to the
+    /// error state and the rest of the batch is flushed with
+    /// [`RdmaError::QpBroken`] without reaching the NIC; if the QP is
+    /// *already* broken, every request is flushed that way. `results` is
+    /// cleared and refilled **in posting order**; callers needing
+    /// virtual-completion order sort stably by `completed_at`.
     pub fn read_batch_into(
         &self,
         reqs: &[ReadReq],
@@ -300,10 +180,8 @@ impl QueuePair {
         }
         assert!(outs.len() >= reqs.len(), "one output buffer per request");
         let n = reqs.len() as u64;
-        // Same bookkeeping as post() + ring_doorbell(): the queues are
-        // bypassed, the accounting is not.
         self.posted.fetch_add(n, Ordering::Relaxed);
-        self.sq_depth_max.fetch_max(n, Ordering::Relaxed);
+        self.batch_max.fetch_max(n, Ordering::Relaxed);
         let mut per_class = [0u64; TrafficClass::COUNT];
         for r in reqs {
             per_class[r.class.index()] += 1;
@@ -311,7 +189,7 @@ impl QueuePair {
         for (i, &count) in per_class.iter().enumerate() {
             if count > 0 {
                 self.class_posted[i].fetch_add(count, Ordering::Relaxed);
-                self.class_sq_depth_max[i].fetch_max(count, Ordering::Relaxed);
+                self.class_batch_max[i].fetch_max(count, Ordering::Relaxed);
             }
         }
         self.rnic.trace().add(Stage::WqePost, n);
@@ -329,61 +207,44 @@ impl QueuePair {
                 self.breaks.fetch_add(1, Ordering::Relaxed);
             }
         }
-        self.completed.fetch_add(n, Ordering::Relaxed);
-        self.cq_depth_max.fetch_max(n, Ordering::Relaxed);
     }
 
-    /// Drains up to `max` completions from the completion queue, oldest
-    /// (earliest virtual completion time) first.
-    pub fn poll_cq(&self, max: usize) -> Vec<Completion> {
-        let mut cq = self.cq.lock();
-        let k = max.min(cq.len());
-        cq.drain(..k).collect()
-    }
-
-    /// Current send-queue depth (posted WQEs awaiting a doorbell).
-    pub fn sq_depth(&self) -> usize {
-        self.sq.lock().len()
-    }
-
-    /// Current completion-queue depth (completions awaiting `poll_cq`).
-    pub fn cq_depth(&self) -> usize {
-        self.cq.lock().len()
-    }
-
-    /// Work-queue depth statistics accumulated over the QP's lifetime.
+    /// Batch statistics accumulated over the QP's lifetime.
     pub fn depth_stats(&self) -> QpDepthStats {
+        let posted = self.posted.load(Ordering::Relaxed);
+        let batch_max = self.batch_max.load(Ordering::Relaxed);
         QpDepthStats {
-            posted: self.posted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
+            posted,
+            completed: posted,
             doorbells: self.doorbells.load(Ordering::Relaxed),
-            sq_depth_max: self.sq_depth_max.load(Ordering::Relaxed),
-            cq_depth_max: self.cq_depth_max.load(Ordering::Relaxed),
+            sq_depth_max: batch_max,
+            cq_depth_max: batch_max,
             class_posted: self.class_posted.each_ref().map(|c| c.load(Ordering::Relaxed)),
-            class_sq_depth_max: self
-                .class_sq_depth_max
-                .each_ref()
-                .map(|c| c.load(Ordering::Relaxed)),
+            class_sq_depth_max: self.class_batch_max.each_ref().map(|c| c.load(Ordering::Relaxed)),
         }
     }
 
     /// Queue depth a reliable connection provisions at creation time:
     /// real verbs providers allocate the send/completion rings from
     /// `max_send_wr` at `ibv_create_qp`, before any traffic flows, so the
-    /// host footprint of an RC connection is charged at this depth even
-    /// while the simulator's lazily-grown vectors are still small.
+    /// host footprint of an RC connection is charged at this depth.
     pub const PROVISIONED_DEPTH: usize = 128;
 
+    /// Host bytes of one send-ring entry (a posted WQE: id, opcode, key,
+    /// address, length, tenant and class tags).
+    const SQ_ENTRY_BYTES: usize = 56;
+
+    /// Host bytes of one completion-ring entry (id, completion time,
+    /// status and the payload descriptor).
+    const CQ_ENTRY_BYTES: usize = 80;
+
     /// Bytes of connection state this QP pins on the host: the fixed
-    /// struct plus the send/completion rings at provisioned depth (or the
-    /// actual backing storage once traffic has grown past it). This is
+    /// struct plus the send/completion rings at provisioned depth. This is
     /// the per-client cost the [`crate::MuxQp`] shared-connection mode
     /// amortizes across tenants.
     pub fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.sq.lock().capacity().max(Self::PROVISIONED_DEPTH) * std::mem::size_of::<Wqe>()
-            + self.cq.lock().capacity().max(Self::PROVISIONED_DEPTH)
-                * std::mem::size_of::<Completion>()
+            + Self::PROVISIONED_DEPTH * (Self::SQ_ENTRY_BYTES + Self::CQ_ENTRY_BYTES)
     }
 
     /// Re-establishes a broken connection. Returns the recovery cost
@@ -463,29 +324,38 @@ mod tests {
         (aspace, rnic, va)
     }
 
+    /// Runs one doorbell batch of `reqs` and returns the results (posting
+    /// order) with the payloads.
+    fn batch(qp: &QueuePair, reqs: &[ReadReq], now: SimTime) -> (Vec<ReadResult>, Vec<Vec<u8>>) {
+        let mut outs = vec![Vec::new(); reqs.len()];
+        let mut results = Vec::new();
+        qp.read_batch_into(reqs, &mut outs, now, &mut results);
+        (results, outs)
+    }
+
     #[test]
     fn batch_round_trip_preserves_data_and_order() {
         let (aspace, rnic, va) = batch_setup(8);
         let (mr, _) = rnic.register(va, 8, false).unwrap();
         let qp = QueuePair::connect(rnic.clone());
-        for i in 0..8u64 {
-            aspace.write(va + i * 4096, &[i as u8; 16]).unwrap();
-            qp.post_read(mr.rkey, va + i * 4096, 16, i);
-        }
-        assert_eq!(qp.sq_depth(), 8);
+        let reqs: Vec<ReadReq> = (0..8u64)
+            .map(|i| {
+                aspace.write(va + i * 4096, &[i as u8; 16]).unwrap();
+                ReadReq::new(i, mr.rkey, va + i * 4096, 16)
+            })
+            .collect();
         let now = SimTime::from_micros(5);
-        assert_eq!(qp.ring_doorbell(now), 8);
-        assert_eq!(qp.sq_depth(), 0);
-        let comps = qp.poll_cq(usize::MAX);
-        assert_eq!(comps.len(), 8);
-        let mut last = SimTime::ZERO;
-        for c in &comps {
-            assert!(c.is_ok());
-            assert_eq!(c.data, vec![c.wr_id as u8; 16]);
-            assert!(c.completed_at >= last, "completions must be time-ordered");
-            assert!(c.completed_at > now);
-            last = c.completed_at;
+        let (results, outs) = batch(&qp, &reqs, now);
+        assert_eq!(results.len(), 8);
+        for (k, r) in results.iter().enumerate() {
+            assert_eq!(r.wr_id, k as u64, "results come back in posting order");
+            assert!(r.result.is_ok());
+            assert_eq!(outs[k], vec![k as u8; 16]);
+            assert!(r.completed_at > now);
         }
+        // The single FIFO engine serves in posting order; only the first
+        // read's cold translation can let the second overtake it.
+        assert!(results[1..].windows(2).all(|w| w[0].completed_at <= w[1].completed_at));
         let stats = qp.depth_stats();
         assert_eq!(stats.posted, 8);
         assert_eq!(stats.completed, 8);
@@ -504,11 +374,9 @@ mod tests {
         let (_a1, rnic_b, va_b) = batch_setup(1);
         let (mr_b, _) = rnic_b.register(va_b, 1, false).unwrap();
         let qp_b = QueuePair::connect(rnic_b.clone());
-        for i in 0..8u64 {
-            qp_b.post_read(mr_b.rkey, va_b, 32, i);
-        }
-        qp_b.ring_doorbell(SimTime::ZERO);
-        let batch_end = qp_b.poll_cq(usize::MAX).iter().map(|c| c.completed_at).max().unwrap();
+        let reqs: Vec<ReadReq> = (0..8u64).map(|i| ReadReq::new(i, mr_b.rkey, va_b, 32)).collect();
+        let (results, _) = batch(&qp_b, &reqs, SimTime::ZERO);
+        let batch_end = results.iter().map(|r| r.completed_at).max().unwrap();
 
         let (_a2, rnic_s, va_s) = batch_setup(1);
         let (mr_s, _) = rnic_s.register(va_s, 1, false).unwrap();
@@ -546,37 +414,27 @@ mod tests {
         let rnic = Arc::new(Rnic::new(aspace, cfg));
         let (mr, _) = rnic.register(va, 1, false).unwrap();
         let qp = QueuePair::connect(rnic.clone());
-        for i in 0..5u64 {
-            qp.post_read(mr.rkey, va, 8, i);
-        }
-        qp.ring_doorbell(SimTime::ZERO);
-        let comps = qp.poll_cq(usize::MAX);
-        assert_eq!(comps.len(), 5);
-        // Failures surface at batch arrival, i.e. before the successes.
-        // (Among the successes, op 1 may overtake op 0: op 0 eats the
-        // cold-cache latency while op 1 rides the warmed translation.)
-        let mut ok: Vec<u64> = comps.iter().filter(|c| c.is_ok()).map(|c| c.wr_id).collect();
-        ok.sort_unstable();
-        assert_eq!(ok, vec![0, 1]);
-        let failed: Vec<_> =
-            comps.iter().filter(|c| !c.is_ok()).map(|c| (c.wr_id, c.result.clone())).collect();
+        let reqs: Vec<ReadReq> = (0..5u64).map(|i| ReadReq::new(i, mr.rkey, va, 8)).collect();
+        let (results, _) = batch(&qp, &reqs, SimTime::ZERO);
+        assert_eq!(results.len(), 5);
+        assert!(results[..2].iter().all(|r| r.result.is_ok()));
+        let failed: Vec<_> = results[2..].iter().map(|r| (r.wr_id, r.result.clone())).collect();
         assert_eq!(failed[0], (2, Err(RdmaError::InjectedFault)));
         assert_eq!(failed[1], (3, Err(RdmaError::QpBroken)));
         assert_eq!(failed[2], (4, Err(RdmaError::QpBroken)));
+        // Failures surface at batch arrival, i.e. before the successes.
+        let arrival = SimTime::ZERO + rnic.model().doorbell_cost;
+        assert!(results[2..].iter().all(|r| r.completed_at == arrival));
+        assert!(results[..2].iter().all(|r| r.completed_at > arrival));
         assert_eq!(qp.state(), QpState::Error);
         assert_eq!(qp.breaks(), 1);
-        // Flushed WQEs never reached the NIC: only ops 0..=2 drew from the
-        // fault stream, so a reconnect-and-repost lands on draw index 3.
+        // Flushed requests never reached the NIC: only ops 0..=2 drew from
+        // the fault stream, so a reconnect-and-repost lands on draw index 3.
         assert_eq!(rnic.stats.wqes.load(Ordering::Relaxed), 3);
         qp.reconnect();
-        for (w, i) in [(2u64, 0u64), (3, 1), (4, 2)] {
-            qp.post_read(mr.rkey, va, 8, w);
-            let _ = i;
-        }
-        qp.ring_doorbell(SimTime::from_micros(50));
-        let retry = qp.poll_cq(usize::MAX);
+        let (retry, _) = batch(&qp, &reqs[2..], SimTime::from_micros(50));
         assert_eq!(retry.len(), 3);
-        assert!(retry.iter().all(|c| c.is_ok()));
+        assert!(retry.iter().all(|r| r.result.is_ok()));
         assert_eq!(rnic.fault_log(), vec![(2, FaultKind::Transient)]);
     }
 
@@ -588,120 +446,31 @@ mod tests {
         let mut buf = [0u8; 4];
         assert!(qp.read(0xbad, va, &mut buf, SimTime::ZERO).is_err());
         assert_eq!(qp.state(), QpState::Error);
-        qp.post_read(mr.rkey, va, 4, 7);
-        qp.post_read(mr.rkey, va, 4, 8);
-        assert_eq!(qp.ring_doorbell(SimTime::ZERO), 2);
-        let comps = qp.poll_cq(usize::MAX);
-        assert!(comps.iter().all(|c| c.result == Err(RdmaError::QpBroken)));
+        let reqs = [ReadReq::new(7, mr.rkey, va, 4), ReadReq::new(8, mr.rkey, va, 4)];
+        let now = SimTime::from_micros(9);
+        let (results, _) = batch(&qp, &reqs, now);
+        assert_eq!(results.iter().map(|r| r.wr_id).collect::<Vec<_>>(), vec![7, 8]);
+        assert!(results.iter().all(|r| r.result == Err(RdmaError::QpBroken)));
+        assert!(results.iter().all(|r| r.completed_at == now));
         // The batch never reached the NIC.
         assert_eq!(rnic.stats.wqes.load(Ordering::Relaxed), 0);
         assert_eq!(rnic.stats.doorbells.load(Ordering::Relaxed), 0);
+        assert_eq!(qp.depth_stats().completed, 2);
     }
 
     #[test]
-    fn poll_cq_respects_max_and_empty_doorbell_is_noop() {
-        let (_aspace, rnic, va) = batch_setup(1);
-        let (mr, _) = rnic.register(va, 1, false).unwrap();
-        let qp = QueuePair::connect(rnic);
-        assert_eq!(qp.ring_doorbell(SimTime::ZERO), 0);
-        for i in 0..4u64 {
-            qp.post_read(mr.rkey, va, 8, i);
-        }
-        qp.ring_doorbell(SimTime::ZERO);
-        assert_eq!(qp.poll_cq(3).len(), 3);
-        assert_eq!(qp.cq_depth(), 1);
-        assert_eq!(qp.poll_cq(3).len(), 1);
-        assert_eq!(qp.poll_cq(3).len(), 0);
-    }
-
-    #[test]
-    fn read_batch_into_matches_queued_path() {
-        let mk = || {
-            let pm = Arc::new(PhysicalMemory::new());
-            let frames = pm.alloc_n(8).unwrap();
-            let aspace = Arc::new(AddressSpace::new(pm));
-            let va = aspace.mmap(&frames).unwrap();
-            for i in 0..8u64 {
-                aspace.write(va + i * 4096, &[i as u8 + 1; 32]).unwrap();
-            }
-            let rnic = Arc::new(Rnic::new(aspace, RnicConfig::default()));
-            let (mr, _) = rnic.register(va, 8, false).unwrap();
-            (rnic, mr, va)
-        };
-        // Queued path: post / doorbell / poll.
-        let (rnic_q, mr_q, va_q) = mk();
-        let qp_q = QueuePair::connect(rnic_q.clone());
-        for i in 0..8u64 {
-            qp_q.post_read(mr_q.rkey, va_q + i * 4096, 32, i);
-        }
-        qp_q.ring_doorbell(SimTime::from_micros(3));
-        let comps = qp_q.poll_cq(usize::MAX);
-        // Synchronous path, same requests against an identical twin NIC.
-        let (rnic_s, mr_s, va_s) = mk();
-        let qp_s = QueuePair::connect(rnic_s.clone());
-        let reqs: Vec<ReadReq> =
-            (0..8u64).map(|i| ReadReq::new(i, mr_s.rkey, va_s + i * 4096, 32)).collect();
-        let mut outs = vec![Vec::new(); 8];
-        let mut results = Vec::new();
-        qp_s.read_batch_into(&reqs, &mut outs, SimTime::from_micros(3), &mut results);
-        // Sorted into completion order, the sync results are the queued
-        // completions: same ids, virtual times, outcomes, and payloads.
-        let mut order: Vec<usize> = (0..8).collect();
-        order.sort_by_key(|&k| results[k].completed_at);
-        assert_eq!(comps.len(), results.len());
-        for (c, &k) in comps.iter().zip(order.iter()) {
-            assert_eq!(c.wr_id, results[k].wr_id);
-            assert_eq!(c.completed_at, results[k].completed_at);
-            assert_eq!(c.result, results[k].result);
-            assert_eq!(c.data, outs[k]);
-        }
-        assert_eq!(qp_q.depth_stats(), qp_s.depth_stats());
-        assert_eq!(
-            rnic_q.stats.wqes.load(Ordering::Relaxed),
-            rnic_s.stats.wqes.load(Ordering::Relaxed)
-        );
-        assert_eq!(rnic_q.engine_busy(), rnic_s.engine_busy());
-    }
-
-    #[test]
-    fn read_batch_into_flushes_like_queued_path_on_fault() {
-        use crate::fault::{FaultConfig, FaultKind, ScheduledFault};
-        let pm = Arc::new(PhysicalMemory::new());
-        let frames = pm.alloc_n(1).unwrap();
-        let aspace = Arc::new(AddressSpace::new(pm));
-        let va = aspace.mmap(&frames).unwrap();
-        let cfg = RnicConfig {
-            faults: Some(FaultConfig::scripted(vec![ScheduledFault {
-                at_op: 2,
-                kind: FaultKind::Transient,
-            }])),
-            ..RnicConfig::default()
-        };
-        let rnic = Arc::new(Rnic::new(aspace, cfg));
-        let (mr, _) = rnic.register(va, 1, false).unwrap();
+    fn empty_doorbell_is_noop() {
+        let (_aspace, rnic, _va) = batch_setup(1);
         let qp = QueuePair::connect(rnic.clone());
-        let reqs: Vec<ReadReq> = (0..5u64).map(|i| ReadReq::new(i, mr.rkey, va, 8)).collect();
-        let mut outs = vec![Vec::new(); 5];
-        let mut results = Vec::new();
-        qp.read_batch_into(&reqs, &mut outs, SimTime::ZERO, &mut results);
-        assert_eq!(results.len(), 5);
-        assert_eq!(results[2].result, Err(RdmaError::InjectedFault));
-        assert_eq!(results[3].result, Err(RdmaError::QpBroken));
-        assert_eq!(results[4].result, Err(RdmaError::QpBroken));
-        assert_eq!(qp.state(), QpState::Error);
-        assert_eq!(qp.breaks(), 1);
-        // Flushed entries consumed no fault draws.
-        assert_eq!(rnic.stats.wqes.load(Ordering::Relaxed), 3);
-        // A broken QP flushes the next batch without touching the NIC.
-        qp.read_batch_into(&reqs[..2], &mut outs[..2], SimTime::from_micros(9), &mut results);
-        assert!(results.iter().all(|r| r.result == Err(RdmaError::QpBroken)));
-        assert_eq!(rnic.stats.wqes.load(Ordering::Relaxed), 3);
-        // After reconnecting, the retried requests land on draw index 3,
-        // exactly like the queued-path recovery.
-        qp.reconnect();
-        qp.read_batch_into(&reqs[2..], &mut outs[..3], SimTime::from_micros(50), &mut results);
-        assert!(results.iter().all(|r| r.result.is_ok()));
-        assert_eq!(rnic.fault_log(), vec![(2, FaultKind::Transient)]);
+        let mut results = vec![ReadResult {
+            wr_id: 1,
+            completed_at: SimTime::ZERO,
+            result: Err(RdmaError::QpBroken),
+        }];
+        qp.read_batch_into(&[], &mut [], SimTime::ZERO, &mut results);
+        assert!(results.is_empty(), "stale results are cleared");
+        assert_eq!(qp.depth_stats(), QpDepthStats::default());
+        assert_eq!(rnic.stats.doorbells.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -745,11 +514,9 @@ mod tests {
             let (mr, _) = rnic.register(va, 1, false).unwrap();
             for (lane, ops) in [(LaneId(0), lane0_ops), (LaneId(1), 64)] {
                 let qp = QueuePair::connect_on_lane(rnic.clone(), lane);
-                for i in 0..ops {
-                    qp.post_read(mr.rkey, va, 8, i);
-                }
-                qp.ring_doorbell(SimTime::ZERO);
-                assert_eq!(qp.poll_cq(usize::MAX).len(), ops as usize);
+                let reqs: Vec<ReadReq> =
+                    (0..ops).map(|i| ReadReq::new(i, mr.rkey, va, 8)).collect();
+                assert_eq!(batch(&qp, &reqs, SimTime::ZERO).0.len(), ops as usize);
             }
             (rnic.fault_log_for(LaneId(0)), rnic.fault_log_for(LaneId(1)))
         };

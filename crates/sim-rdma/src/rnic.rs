@@ -24,9 +24,8 @@ use corm_trace::{Stage, TraceHandle, Track};
 use crate::cache::LruCache;
 use crate::fault::{FaultBlock, FaultConfig, FaultInjector, FaultKind};
 use crate::latency::LatencyModel;
-use crate::pool::{BufPool, PooledBuf};
 use crate::sched::{QosConfig, QosScheduler, TrafficClass};
-use crate::wq::{Completion, ReadReq, ReadResult, Wqe, WqeOp};
+use crate::wq::{ReadReq, ReadResult};
 
 /// Errors surfaced by RNIC verbs. Any error on a one-sided access breaks
 /// the issuing queue pair, per reliable-connection semantics.
@@ -140,10 +139,9 @@ pub struct RnicConfig {
     /// observational, so it never changes virtual time or fault draws.
     pub trace: TraceHandle,
     /// SLO-class-aware engine scheduling for the batched verb path. `None`
-    /// (the default) keeps the legacy round-robin dispatch byte-for-byte;
-    /// a uniform (equal-weight) config replays it exactly through the
-    /// scheduler, and skewed weights buy latency-class isolation — see
-    /// [`crate::sched`].
+    /// (the default) and a uniform (equal-weight) config both run the
+    /// plain round-robin engine dispatch with no scheduler; skewed weights
+    /// buy latency-class isolation — see [`crate::sched`].
     pub qos: Option<QosConfig>,
     /// Number of execution lanes the NIC is partitioned for (windowed
     /// lane-parallel simulation). At `1` (the default) everything is
@@ -315,11 +313,10 @@ pub struct Rnic {
     engines: Box<[Mutex<FifoResource>]>,
     /// Round-robin cursor for WQE dispatch across processing units.
     next_unit: AtomicUsize,
-    /// The SLO-class scheduler, when `RnicConfig::qos` enabled one. It
-    /// replaces the per-unit FIFO dispatch for doorbell-batched WQEs.
+    /// The SLO-class scheduler, when `RnicConfig::qos` holds a weighted
+    /// config. It replaces the per-unit FIFO dispatch for doorbell-batched
+    /// WQEs.
     sched: Option<Mutex<QosScheduler>>,
-    /// Recycled DMA staging buffers for the batched READ path.
-    staging: Arc<BufPool>,
     /// Public counters.
     pub stats: RnicStats,
 }
@@ -354,9 +351,12 @@ impl Rnic {
         let units = config.processing_units.max(1);
         let engines =
             (0..units).map(|_| Mutex::new(FifoResource::new(config.engine_width.max(1)))).collect();
+        // A uniform config has nothing to arbitrate: it *is* the plain
+        // engine dispatch, so only a weighted config gets a scheduler.
         let sched = config
             .qos
             .clone()
+            .filter(|qos| !qos.is_uniform())
             .map(|qos| Mutex::new(QosScheduler::new(qos, units, config.engine_width.max(1))));
         Rnic {
             aspace,
@@ -371,7 +371,6 @@ impl Rnic {
             engines,
             next_unit: AtomicUsize::new(0),
             sched,
-            staging: Arc::new(BufPool::new()),
             stats: RnicStats::default(),
         }
     }
@@ -383,22 +382,19 @@ impl Rnic {
     }
 
     /// Locks the MTT shards a doorbell batch will touch, once, in
-    /// ascending index order. `accesses` yields each WQE's `(va, len)`;
-    /// pages of requests that later fail region checks are harmlessly
-    /// over-approximated into the mask. Returns `None` when the NIC has
-    /// more shards than the 64-bit mask can name — callers then fall back
-    /// to per-page locking, the exact pre-batch behaviour.
-    fn lock_batch_shards(
-        &self,
-        accesses: impl Iterator<Item = (u64, usize)>,
-    ) -> Option<ShardGuards<'_>> {
+    /// ascending index order. Pages of requests that later fail region
+    /// checks are harmlessly over-approximated into the mask. Returns
+    /// `None` when the NIC has more shards than the 64-bit mask can name —
+    /// callers then fall back to per-page locking, the exact pre-batch
+    /// behaviour.
+    fn lock_batch_shards(&self, reqs: &[ReadReq]) -> Option<ShardGuards<'_>> {
         let n = self.shards.len();
         if n > 64 {
             return None;
         }
         let full: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
         let mut mask = 0u64;
-        for (va, len) in accesses {
+        for &ReadReq { va, len, .. } in reqs {
             let first = va / PAGE_SIZE as u64;
             let last = (va + len.max(1) as u64 - 1) / PAGE_SIZE as u64;
             if last - first + 1 >= n as u64 {
@@ -675,186 +671,27 @@ impl Rnic {
         Ok(outcome.0)
     }
 
-    /// Executes a doorbell-rung batch of WQEs through the inbound engine.
+    /// Executes one doorbell batch of READs through the inbound engine,
+    /// DMAing each payload straight into `outs[k]` (resized to the
+    /// request's length).
     ///
     /// The batch arrives at `now + doorbell_cost` — one doorbell pays for
-    /// the whole batch. Each WQE then runs the full verb path (fault draw,
-    /// region checks, per-page MTT/cache lookup, DMA) and is admitted into
-    /// the FIFO engine for its service time; its completion lands at
+    /// the whole batch. Each request then runs the full verb path (fault
+    /// draw, region checks, per-page MTT/cache lookup, DMA) and is admitted
+    /// into the engine for its service time; its completion lands at
     /// `engine_done + (end_to_end_latency − service)`, the same composition
-    /// the closed-loop simulations use. The first failing WQE stops
-    /// execution: the remaining WQEs are *flushed* with
+    /// the closed-loop simulations use. The first failing request stops
+    /// execution: the remaining requests are *flushed* with
     /// [`RdmaError::QpBroken`] and consume no fault draws, mirroring the
     /// sequential path where a broken QP rejects follow-up verbs before
-    /// they reach the NIC.
-    ///
-    /// Completions are returned sorted by completion time (stable, so ties
-    /// keep posting order). Callers ([`crate::QueuePair::ring_doorbell`])
+    /// they reach the NIC. Callers ([`crate::QueuePair::read_batch_into`])
     /// are responsible for moving the QP to the error state on failure.
     ///
-    /// The batch is drained from `wqes`, leaving the (empty) vector's
-    /// capacity for the caller to recycle into the send queue.
-    /// The batch carries an execution-lane tag: faults draw from `lane`'s
-    /// injector stream and, when the NIC is configured with `lanes > 1`,
-    /// engine dispatch pins to `lane % processing_units`. Lane 0 on a
-    /// single-lane NIC is exactly the classic untagged path.
-    pub(crate) fn serve_batch_on(
-        &self,
-        lane: LaneId,
-        wqes: &mut Vec<Wqe>,
-        now: SimTime,
-    ) -> Vec<Completion> {
-        let model = &self.config.model;
-        let arrival = now + model.doorbell_cost;
-        self.stats.doorbells.fetch_add(1, Ordering::Relaxed);
-        self.config.trace.span(Track::Nic, Stage::Doorbell, 0, now, model.doorbell_cost);
-        // Shared-state locks are taken once per doorbell, not once per WQE:
-        // the region snapshot, the DMA session, the (single) engine, and
-        // the staging free list all amortize across the batch. Virtual-time
-        // results are identical to per-WQE locking — these guards only
-        // serialize wall-clock access.
-        let rt = self.regions.read();
-        let dma = self.aspace.phys().dma();
-        let mut sched = self.sched.as_ref().map(|s| s.lock());
-        let mut single_engine =
-            (sched.is_none() && self.engines.len() == 1).then(|| self.engines[0].lock());
-        let mut fault = self.faults_for(lane).map(|inj| inj.begin_block());
-        // Last in the lock order (regions -> sched/engine -> fault ->
-        // shards ascending): hold the batch's MTT shards for the whole
-        // doorbell instead of relocking per page.
-        let mut held = self.lock_batch_shards(wqes.iter().map(|w| match &w.op {
-            WqeOp::Read { va, len, .. } => (*va, *len),
-            WqeOp::Write { va, data, .. } => (*va, data.len()),
-        }));
-        let mut memo = None;
-        let mut completions = Vec::with_capacity(wqes.len());
-        let mut failed = false;
-        let (mut n_wqes, mut n_reads, mut n_writes, mut bytes_read) = (0u64, 0u64, 0u64, 0u64);
-        let mut iter = wqes.drain(..);
-        for wqe in iter.by_ref() {
-            let Wqe { wr_id, op, tenant, class } = wqe;
-            n_wqes += 1;
-            let (len, outcome, data) = match op {
-                WqeOp::Read { rkey, va, len } => {
-                    let mut buf = self.staging.take(len);
-                    match self.access_locked(
-                        &rt,
-                        &dma,
-                        &mut fault,
-                        &mut held,
-                        &mut memo,
-                        rkey,
-                        va,
-                        len,
-                        arrival,
-                        AccessDir::Read(&mut buf),
-                    ) {
-                        Ok((v, _)) => {
-                            n_reads += 1;
-                            bytes_read += len as u64;
-                            (len, Ok(v), buf)
-                        }
-                        Err(e) => (len, Err(e), PooledBuf::empty()),
-                    }
-                }
-                WqeOp::Write { rkey, va, data } => {
-                    let len = data.len();
-                    let r = self
-                        .access_locked(
-                            &rt,
-                            &dma,
-                            &mut fault,
-                            &mut held,
-                            &mut memo,
-                            rkey,
-                            va,
-                            len,
-                            arrival,
-                            AccessDir::Write(&data),
-                        )
-                        .map(|(v, _)| {
-                            n_writes += 1;
-                            v
-                        });
-                    (len, r, PooledBuf::empty())
-                }
-            };
-            match outcome {
-                Ok(verb) => {
-                    let mut service = model.rdma_read_service(len, verb.cache_hit);
-                    if verb.odp_misses > 0 {
-                        service +=
-                            model.odp_miss.unwrap_or(SimDuration::ZERO) * verb.odp_misses as u64;
-                    }
-                    let (done, unit) = match (&mut sched, &mut single_engine) {
-                        (Some(sched), _) => {
-                            let adm = sched.admit(tenant, class, arrival, service);
-                            if adm.class_wait > SimDuration::ZERO {
-                                self.config.trace.span(
-                                    Track::Nic,
-                                    Stage::QosClassWait,
-                                    wr_id,
-                                    arrival,
-                                    adm.class_wait,
-                                );
-                            }
-                            (adm.done, adm.unit)
-                        }
-                        (None, Some(engine)) => (engine.admit(arrival, service), 0),
-                        (None, None) => self.dispatch(lane, arrival, service),
-                    };
-                    self.config.trace.span(
-                        Track::EngineUnit(unit as u32),
-                        Stage::EngineService,
-                        wr_id,
-                        SimTime::from_nanos(done.as_nanos() - service.as_nanos()),
-                        service,
-                    );
-                    let completed_at = done + verb.latency.saturating_sub(service);
-                    completions.push(Completion { wr_id, completed_at, result: Ok(verb), data });
-                }
-                Err(e) => {
-                    completions.push(Completion {
-                        wr_id,
-                        completed_at: arrival,
-                        result: Err(e),
-                        data: PooledBuf::empty(),
-                    });
-                    failed = true;
-                    break;
-                }
-            }
-        }
-        if failed {
-            for wqe in iter {
-                completions.push(Completion {
-                    wr_id: wqe.wr_id,
-                    completed_at: arrival,
-                    result: Err(RdmaError::QpBroken),
-                    data: PooledBuf::empty(),
-                });
-            }
-        }
-        self.stats.wqes.fetch_add(n_wqes, Ordering::Relaxed);
-        if n_reads > 0 {
-            self.stats.reads.fetch_add(n_reads, Ordering::Relaxed);
-            self.stats.bytes_read.fetch_add(bytes_read, Ordering::Relaxed);
-        }
-        if n_writes > 0 {
-            self.stats.writes.fetch_add(n_writes, Ordering::Relaxed);
-        }
-        completions.sort_by_key(|c| c.completed_at);
-        completions
-    }
-
-    /// The synchronous twin of [`Rnic::serve_batch_on`] for all-READ batches:
-    /// each payload DMAs straight into the caller's buffer (`outs[k]`,
-    /// resized to the request's length) instead of staging through a pooled
-    /// completion. Doorbell cost, per-request fault draws, engine
-    /// admission, trace spans, and first-failure flush semantics are
-    /// identical to `serve_batch_on` WQE by WQE, so virtual-time results are
-    /// byte-for-byte the same as the queued path. Results are pushed in
-    /// posting order and NOT sorted — the caller owns completion ordering.
+    /// Results are pushed in posting order and NOT sorted — the caller owns
+    /// completion ordering. The batch carries an execution-lane tag: faults
+    /// draw from `lane`'s injector stream and, when the NIC is configured
+    /// with `lanes > 1`, engine dispatch pins to `lane % processing_units`.
+    /// Lane 0 on a single-lane NIC is exactly the classic untagged path.
     pub(crate) fn serve_reads_into_on(
         &self,
         lane: LaneId,
@@ -867,14 +704,21 @@ impl Rnic {
         let arrival = now + model.doorbell_cost;
         self.stats.doorbells.fetch_add(1, Ordering::Relaxed);
         self.config.trace.span(Track::Nic, Stage::Doorbell, 0, now, model.doorbell_cost);
+        // Shared-state locks are taken once per doorbell, not once per
+        // request: the region snapshot, the DMA session, and the (single)
+        // engine amortize across the batch. Virtual-time results are
+        // identical to per-request locking — these guards only serialize
+        // wall-clock access.
         let rt = self.regions.read();
         let dma = self.aspace.phys().dma();
         let mut sched = self.sched.as_ref().map(|s| s.lock());
         let mut single_engine =
             (sched.is_none() && self.engines.len() == 1).then(|| self.engines[0].lock());
         let mut fault = self.faults_for(lane).map(|inj| inj.begin_block());
-        // Same lock position as `serve_batch`: shards last, ascending.
-        let mut held = self.lock_batch_shards(reqs.iter().map(|r| (r.va, r.len)));
+        // Last in the lock order (regions -> sched/engine -> fault ->
+        // shards ascending): hold the batch's MTT shards for the whole
+        // doorbell instead of relocking per page.
+        let mut held = self.lock_batch_shards(reqs);
         let mut memo = None;
         let (mut n_wqes, mut n_reads, mut bytes_read) = (0u64, 0u64, 0u64);
         let mut flush_from = None;
@@ -942,7 +786,7 @@ impl Rnic {
         }
         if let Some(rest) = flush_from {
             // Flushed requests never reach the NIC and consume no fault
-            // draws, exactly like serve_batch's flush loop.
+            // draws.
             for req in &reqs[rest..] {
                 results.push(ReadResult {
                     wr_id: req.wr_id,
@@ -1014,13 +858,14 @@ impl Rnic {
         self.engine_busy().as_secs_f64() / (horizon.as_secs_f64() * servers as f64)
     }
 
-    /// Whether the SLO-class scheduler is driving engine admission.
+    /// Whether the SLO-class scheduler is driving engine admission (only
+    /// for a weighted `RnicConfig::qos`).
     pub fn qos_enabled(&self) -> bool {
         self.sched.is_some()
     }
 
-    /// WQEs admitted per traffic class (all zero when QoS is off, which
-    /// does not observe classes).
+    /// WQEs admitted per traffic class (all zero without a scheduler,
+    /// which does not observe classes).
     pub fn qos_class_admitted(&self) -> [u64; TrafficClass::COUNT] {
         match &self.sched {
             Some(s) => s.lock().class_admitted(),
@@ -1029,7 +874,7 @@ impl Rnic {
     }
 
     /// Scheduler-imposed wait per traffic class, in nanoseconds (all zero
-    /// when QoS is off or uniform).
+    /// without a scheduler).
     pub fn qos_class_wait_ns(&self) -> [u64; TrafficClass::COUNT] {
         match &self.sched {
             Some(s) => s.lock().class_wait_ns(),
@@ -1690,17 +1535,27 @@ mod tests {
             ));
             let (mr, _) = rnic.register(va, 1, false).unwrap();
             let qp = crate::QueuePair::connect(rnic.clone());
-            for i in 0..8u64 {
-                qp.post_read(mr.rkey, va, 64, i);
-            }
-            qp.ring_doorbell(SimTime::ZERO);
+            let reqs: Vec<ReadReq> = (0..8u64).map(|i| ReadReq::new(i, mr.rkey, va, 64)).collect();
+            let (mut outs, mut results) = (vec![Vec::new(); 8], Vec::new());
+            qp.read_batch_into(&reqs, &mut outs, SimTime::ZERO, &mut results);
             assert_eq!(rnic.processing_units(), units);
             assert_eq!(rnic.engine_admitted(), 8);
-            qp.poll_cq(usize::MAX).iter().map(|c| c.completed_at).max().unwrap()
+            results.iter().map(|r| r.completed_at).max().unwrap()
         };
         let one = makespan(1);
         let two = makespan(2);
         assert!(two < one, "2 units {two} must beat 1 unit {one}");
+    }
+
+    #[test]
+    fn only_a_weighted_qos_config_builds_a_scheduler() {
+        let with_qos = |qos: Option<QosConfig>| {
+            let (aspace, ..) = setup(1);
+            Rnic::new(aspace, RnicConfig { qos, ..RnicConfig::default() }).qos_enabled()
+        };
+        assert!(!with_qos(None));
+        assert!(!with_qos(Some(QosConfig::equal_weights())), "uniform is the plain dispatch");
+        assert!(with_qos(Some(QosConfig::default())));
     }
 
     #[test]

@@ -10,46 +10,37 @@
 //! aggregate service capacity across the *backlogged* flows in proportion
 //! to their weights.
 //!
-//! # Disciplines
+//! # Discipline
 //!
 //! The scheduler must answer each admission immediately (the simulator
 //! charges a verb its completion time the moment it is admitted), which
 //! rules out exact packetized WFQ: a verb's true finish time depends on
-//! arrivals that have not happened yet. Two disciplines cover the two
-//! regimes:
+//! arrivals that have not happened yet. It runs the fluid (GPS-style)
+//! limit of deficit-weighted round robin instead. Each flow owns a
+//! virtual clock `next_start`; a verb of flow `f` with weight `w_f`
+//! admitted at `now` for `service` starts at `max(now, next_start[f])`,
+//! completes one service later, and advances the clock by
+//! `service × W_active / (w_f × capacity)`, where `W_active` sums the
+//! weights of the flows backlogged at `now` (maintained incrementally with
+//! a drain heap, so admission stays `O(log flows)` even with 10⁵ tenants).
+//! Isolation falls out: a saturating bulk flow only drives *its own* clock
+//! into the future, so a latency-class verb still starts at its arrival —
+//! that is the fig21 `p99 ≤ 2× unloaded` gate. While every flow stays
+//! backlogged the admitted work completes at exactly the aggregate
+//! capacity (no idle units — pinned by test); once a flow drains
+//! mid-backlog the remaining flows keep their frozen shares until real
+//! time catches up with their clocks, a conservative (never-overcommitting)
+//! artifact of answering admissions immediately.
 //!
-//! * **Uniform** — when every flow weight is equal there is nothing to
-//!   arbitrate, and the scheduler degenerates to a bit-exact replica of
-//!   the legacy dispatch: per-unit FIFO engines with round-robin WQE
-//!   assignment. Seeded replays with a uniform scheduler are
-//!   byte-identical to runs without one (pinned by test), and work
-//!   conservation is the FIFO's own.
-//!
-//! * **Weighted** — with skewed weights the scheduler runs the fluid
-//!   (GPS-style) limit of deficit-weighted round robin. Each flow owns a
-//!   virtual clock `next_start`; a verb of flow `f` with weight `w_f`
-//!   admitted at `now` for `service` starts at `max(now, next_start[f])`,
-//!   completes one service later, and advances the clock by
-//!   `service × W_active / (w_f × capacity)`, where `W_active` sums the
-//!   weights of the flows backlogged at `now` (maintained incrementally
-//!   with a drain heap, so admission stays `O(log flows)` even with 10⁵
-//!   tenants). Isolation falls out: a saturating bulk flow only drives
-//!   *its own* clock into the future, so a latency-class verb still starts
-//!   at its arrival — that is the fig21 `p99 ≤ 2× unloaded` gate. While
-//!   every flow stays backlogged the admitted work completes at exactly
-//!   the aggregate capacity (no idle units — pinned by test); once a flow
-//!   drains mid-backlog the remaining flows keep their frozen shares
-//!   until real time catches up with their clocks, a conservative
-//!   (never-overcommitting) artifact of answering admissions immediately.
-//!
-//! The scheduler is strictly opt-in (`RnicConfig::qos`); with it disabled
-//! the NIC's dispatch path is untouched.
+//! The scheduler is strictly opt-in (`RnicConfig::qos`), and only a
+//! weighted config builds one: when every flow weight is equal there is
+//! nothing to arbitrate, so the NIC keeps its plain per-unit FIFO
+//! round-robin dispatch for a uniform config exactly as for `None`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use corm_sim_core::hash::FastHashMap;
-use corm_sim_core::resource::FifoResource;
 use corm_sim_core::time::{SimDuration, SimTime};
 
 /// The SLO class of a verb or RPC: which service curve it rides.
@@ -109,8 +100,7 @@ impl Default for QosConfig {
 
 impl QosConfig {
     /// A configuration with every class and tenant weighted equally — the
-    /// neutral configuration whose seeded replays are byte-identical to
-    /// the unscheduled round-robin dispatch.
+    /// neutral configuration, under which the NIC builds no scheduler.
     pub fn equal_weights() -> Self {
         QosConfig {
             class_weights: [1; TrafficClass::COUNT],
@@ -119,8 +109,9 @@ impl QosConfig {
         }
     }
 
-    /// Whether every flow ends up with the same weight, making the
-    /// scheduler degenerate to the legacy FIFO dispatch.
+    /// Whether every flow ends up with the same weight, leaving nothing to
+    /// arbitrate: the NIC then runs its plain FIFO dispatch instead of a
+    /// scheduler.
     pub fn is_uniform(&self) -> bool {
         self.class_weights.iter().all(|&w| w == self.class_weights[0])
             && self.tenant_weights.iter().all(|&(_, w)| w == self.default_tenant_weight)
@@ -138,7 +129,7 @@ impl QosConfig {
     }
 }
 
-/// One flow's scheduling state (weighted discipline).
+/// One flow's scheduling state.
 #[derive(Debug, Clone, Copy)]
 struct FlowState {
     /// Earliest virtual time the flow's next verb may start service.
@@ -156,41 +147,29 @@ pub struct QosAdmission {
     pub done: SimTime,
     /// Scheduler-imposed wait between arrival and service start — time the
     /// verb spent held back by its flow's share, not by engine backlog.
-    /// Always zero in the uniform discipline.
     pub class_wait: SimDuration,
     /// Processing unit charged with the service (names the trace track).
     pub unit: usize,
 }
 
-#[derive(Debug)]
-enum Discipline {
-    /// Bit-exact replica of the legacy dispatch: per-unit FIFO engines,
-    /// round-robin assignment.
-    Uniform { engines: Vec<FifoResource> },
-    /// Fluid deficit-weighted sharing across backlogged flows.
-    Weighted {
-        flows: FastHashMap<u64, FlowState>,
-        /// Drain heap of `(next_start, flow)` used to deactivate flows
-        /// whose clocks real time has caught up with. Entries are lazily
-        /// deleted: a flow's clock is monotone, so an entry is current
-        /// iff it equals the flow's stored `next_start`.
-        drain: BinaryHeap<Reverse<(SimTime, u64)>>,
-        /// Sum of the weights of currently-backlogged flows.
-        w_active: u64,
-        /// Aggregate engine capacity (units × width servers).
-        capacity: u64,
-        /// Processing-order clamp, mirroring [`FifoResource`]: admissions
-        /// stay causal even if a caller's clock lags.
-        last_admit: SimTime,
-    },
-}
-
 /// The SLO-class-aware scheduler for the RNIC's inbound engines. See the
-/// module docs for the two disciplines it runs.
+/// module docs for the discipline it runs.
 #[derive(Debug)]
 pub struct QosScheduler {
     config: QosConfig,
-    discipline: Discipline,
+    flows: FastHashMap<u64, FlowState>,
+    /// Drain heap of `(next_start, flow)` used to deactivate flows whose
+    /// clocks real time has caught up with. Entries are lazily deleted: a
+    /// flow's clock is monotone, so an entry is current iff it equals the
+    /// flow's stored `next_start`.
+    drain: BinaryHeap<Reverse<(SimTime, u64)>>,
+    /// Sum of the weights of currently-backlogged flows.
+    w_active: u64,
+    /// Aggregate engine capacity (units × width servers).
+    capacity: u64,
+    /// Processing-order clamp, mirroring `FifoResource`: admissions stay
+    /// causal even if a caller's clock lags.
+    last_admit: SimTime,
     /// Round-robin cursor assigning trace units.
     next_unit: usize,
     units: usize,
@@ -214,21 +193,13 @@ impl QosScheduler {
     /// each — the same shape as the legacy engine array.
     pub fn new(config: QosConfig, units: usize, width: usize) -> Self {
         let units = units.max(1);
-        let width = width.max(1);
-        let discipline = if config.is_uniform() {
-            Discipline::Uniform { engines: (0..units).map(|_| FifoResource::new(width)).collect() }
-        } else {
-            Discipline::Weighted {
-                flows: FastHashMap::default(),
-                drain: BinaryHeap::new(),
-                w_active: 0,
-                capacity: (units * width) as u64,
-                last_admit: SimTime::ZERO,
-            }
-        };
         QosScheduler {
             config,
-            discipline,
+            flows: FastHashMap::default(),
+            drain: BinaryHeap::new(),
+            w_active: 0,
+            capacity: (units * width.max(1)) as u64,
+            last_admit: SimTime::ZERO,
             next_unit: 0,
             units,
             admitted: 0,
@@ -247,61 +218,47 @@ impl QosScheduler {
         now: SimTime,
         service: SimDuration,
     ) -> QosAdmission {
-        let adm = match &mut self.discipline {
-            Discipline::Uniform { engines } => {
-                let unit = self.next_unit;
-                self.next_unit = (self.next_unit + 1) % self.units;
-                QosAdmission {
-                    done: engines[unit].admit(now, service),
-                    class_wait: SimDuration::ZERO,
-                    unit,
+        let now = now.max(self.last_admit);
+        self.last_admit = now;
+        // Deactivate flows whose clocks real time has caught up with: they
+        // are no longer backlogged and stop diluting everyone else's share.
+        while let Some(&Reverse((t, k))) = self.drain.peek() {
+            if t > now {
+                break;
+            }
+            self.drain.pop();
+            if let Some(f) = self.flows.get_mut(&k) {
+                if f.active && f.next_start == t {
+                    f.active = false;
+                    self.w_active -= f.weight;
                 }
             }
-            Discipline::Weighted { flows, drain, w_active, capacity, last_admit } => {
-                let now = now.max(*last_admit);
-                *last_admit = now;
-                // Deactivate flows whose clocks real time has caught up
-                // with: they are no longer backlogged and stop diluting
-                // everyone else's share.
-                while let Some(&Reverse((t, k))) = drain.peek() {
-                    if t > now {
-                        break;
-                    }
-                    drain.pop();
-                    if let Some(f) = flows.get_mut(&k) {
-                        if f.active && f.next_start == t {
-                            f.active = false;
-                            *w_active -= f.weight;
-                        }
-                    }
-                }
-                let key = flow_key(tenant, class);
-                let weight = self.config.flow_weight(tenant, class);
-                let flow = flows.entry(key).or_insert(FlowState {
-                    next_start: SimTime::ZERO,
-                    weight,
-                    active: false,
-                });
-                if !flow.active {
-                    flow.active = true;
-                    *w_active += flow.weight;
-                }
-                let start = flow.next_start.max(now);
-                let done = start + service;
-                let spacing =
-                    service.as_nanos().saturating_mul(*w_active).div_ceil(flow.weight * *capacity);
-                flow.next_start = start + SimDuration::from_nanos(spacing);
-                drain.push(Reverse((flow.next_start, key)));
-                let unit = self.next_unit;
-                self.next_unit = (self.next_unit + 1) % self.units;
-                QosAdmission { done, class_wait: start.saturating_since(now), unit }
-            }
-        };
+        }
+        let key = flow_key(tenant, class);
+        let weight = self.config.flow_weight(tenant, class);
+        let flow = self.flows.entry(key).or_insert(FlowState {
+            next_start: SimTime::ZERO,
+            weight,
+            active: false,
+        });
+        if !flow.active {
+            flow.active = true;
+            self.w_active += flow.weight;
+        }
+        let start = flow.next_start.max(now);
+        let done = start + service;
+        let spacing =
+            service.as_nanos().saturating_mul(self.w_active).div_ceil(flow.weight * self.capacity);
+        flow.next_start = start + SimDuration::from_nanos(spacing);
+        self.drain.push(Reverse((flow.next_start, key)));
+        let unit = self.next_unit;
+        self.next_unit = (self.next_unit + 1) % self.units;
+        let class_wait = start.saturating_since(now);
         self.admitted += 1;
         self.busy += service;
         self.class_admitted[class.index()] += 1;
-        self.class_wait_ns[class.index()] += adm.class_wait.as_nanos();
-        adm
+        self.class_wait_ns[class.index()] += class_wait.as_nanos();
+        QosAdmission { done, class_wait, unit }
     }
 
     /// Verbs admitted so far.
@@ -319,13 +276,7 @@ impl QosScheduler {
         if horizon == SimTime::ZERO {
             return 0.0;
         }
-        let servers = match &self.discipline {
-            Discipline::Uniform { engines } => {
-                engines.iter().map(|e| e.servers()).sum::<usize>() as f64
-            }
-            Discipline::Weighted { capacity, .. } => *capacity as f64,
-        };
-        self.busy.as_secs_f64() / (horizon.as_secs_f64() * servers)
+        self.busy.as_secs_f64() / (horizon.as_secs_f64() * self.capacity as f64)
     }
 
     /// Per-class admitted counts, indexed by [`TrafficClass`].
@@ -353,51 +304,6 @@ mod tests {
     }
     fn at(n: u64) -> SimTime {
         SimTime::from_micros(n)
-    }
-
-    /// Replays the legacy `Rnic::dispatch`: round-robin across per-unit
-    /// FIFO engines.
-    struct LegacyDispatch {
-        engines: Vec<FifoResource>,
-        next: usize,
-    }
-
-    impl LegacyDispatch {
-        fn new(units: usize, width: usize) -> Self {
-            LegacyDispatch {
-                engines: (0..units).map(|_| FifoResource::new(width)).collect(),
-                next: 0,
-            }
-        }
-        fn admit(&mut self, now: SimTime, service: SimDuration) -> (SimTime, usize) {
-            let unit = self.next % self.engines.len();
-            self.next += 1;
-            (self.engines[unit].admit(now, service), unit)
-        }
-    }
-
-    #[test]
-    fn equal_weights_match_legacy_dispatch_exactly() {
-        // Determinism pin: a uniform scheduler must reproduce the legacy
-        // round-robin event order byte for byte — any class mix, any unit
-        // count, any (causal) arrival pattern.
-        for (units, width) in [(1, 1), (1, 2), (3, 1), (4, 2)] {
-            let mut qos = QosScheduler::new(QosConfig::equal_weights(), units, width);
-            let mut legacy = LegacyDispatch::new(units, width);
-            let mut seed = 0x51EEDu64;
-            let mut now = 0u64;
-            for i in 0..500 {
-                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                now += seed >> 58; // small pseudo-random arrival steps
-                let service = us(1 + (seed >> 60));
-                let class = TrafficClass::ALL[(seed >> 32) as usize % TrafficClass::COUNT];
-                let tenant = (seed >> 16) as u32 % 7;
-                let q = qos.admit(tenant, class, at(now), service);
-                let (done, unit) = legacy.admit(at(now), service);
-                assert_eq!((q.done, q.unit), (done, unit), "op {i} diverged at {units}x{width}");
-                assert_eq!(q.class_wait, SimDuration::ZERO);
-            }
-        }
     }
 
     #[test]
@@ -439,24 +345,6 @@ mod tests {
         }
         let ratio = heavy as f64 / light as f64;
         assert!((2.5..=3.5).contains(&ratio), "weights 3:1 must yield ~3x: {ratio}");
-    }
-
-    #[test]
-    fn uniform_discipline_is_work_conserving_exactly() {
-        // Work conservation, equal weights: an all-backlogged batch
-        // finishes exactly at the FIFO makespan — no unit idles while any
-        // class has runnable WQEs.
-        let mut qos = QosScheduler::new(QosConfig::equal_weights(), 2, 1);
-        let mut fifo = LegacyDispatch::new(2, 1);
-        let s = us(4);
-        let mut qos_last = SimTime::ZERO;
-        let mut fifo_last = SimTime::ZERO;
-        for i in 0..300 {
-            let class = TrafficClass::ALL[i % TrafficClass::COUNT];
-            qos_last = qos_last.max(qos.admit(0, class, at(0), s).done);
-            fifo_last = fifo_last.max(fifo.admit(at(0), s).0);
-        }
-        assert_eq!(qos_last, fifo_last);
     }
 
     #[test]

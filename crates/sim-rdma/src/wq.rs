@@ -1,93 +1,27 @@
-//! Work-queue elements and completions for the batched verb path.
+//! Request and result records for the doorbell-batched READ verb.
 //!
 //! Real RNICs are asynchronous: the driver appends work-queue elements
 //! (WQEs) to a send queue in host memory, rings a doorbell once (an MMIO
 //! write), and the NIC fetches and executes the whole batch, pushing one
-//! completion-queue entry per WQE. Throughput comes from keeping many WQEs
-//! in flight so the per-verb doorbell/fetch overhead is amortized and the
-//! inbound engine never idles — the effect behind CoRM's Fig. 11/12
-//! plateaus. [`crate::QueuePair::post_read`]/[`crate::QueuePair::post_write`]
-//! enqueue [`Wqe`]s, [`crate::QueuePair::ring_doorbell`] executes them, and
-//! [`crate::QueuePair::poll_cq`] drains [`Completion`]s in virtual-time
-//! order.
+//! completion per WQE. Throughput comes from keeping many WQEs in flight
+//! so the per-verb doorbell/fetch overhead is amortized and the inbound
+//! engine never idles — the effect behind CoRM's Fig. 11/12 plateaus.
+//!
+//! The simulator charges exactly that cost model through one synchronous
+//! call, [`crate::QueuePair::read_batch_into`]: a slice of [`ReadReq`]s is
+//! one doorbell, each payload lands directly in the caller's buffer, and
+//! each request gets a [`ReadResult`] carrying its virtual completion time.
+//! There is no send or completion queue to drain — results come back in
+//! posting order, and callers that want completion order sort stably by
+//! [`ReadResult::completed_at`].
 
 use corm_sim_core::time::SimTime;
 
-use crate::pool::PooledBuf;
 use crate::rnic::{RdmaError, VerbOutcome};
 use crate::sched::TrafficClass;
 
-/// The operation a work-queue element requests.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WqeOp {
-    /// One-sided READ of `len` bytes at `(rkey, va)`.
-    Read {
-        /// Remote key of the target region.
-        rkey: u32,
-        /// Target virtual address.
-        va: u64,
-        /// Number of bytes to read.
-        len: usize,
-    },
-    /// One-sided WRITE of `data` at `(rkey, va)`.
-    Write {
-        /// Remote key of the target region.
-        rkey: u32,
-        /// Target virtual address.
-        va: u64,
-        /// Payload to write.
-        data: Vec<u8>,
-    },
-}
-
-/// A work-queue element sitting in a send queue awaiting a doorbell.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Wqe {
-    /// Caller-chosen identifier echoed back in the matching completion.
-    pub wr_id: u64,
-    /// The requested operation.
-    pub op: WqeOp,
-    /// Tenant the WQE is charged to by the QoS scheduler (0 when QoS is
-    /// off or the QP is unshared).
-    pub tenant: u32,
-    /// SLO class the WQE rides under the QoS scheduler.
-    pub class: TrafficClass,
-}
-
-/// A completion-queue entry: the outcome of one executed (or flushed) WQE.
-///
-/// Per reliable-connection semantics, the first failing WQE moves the QP to
-/// the error state and every later WQE of the batch completes *flushed*
-/// with [`RdmaError::QpBroken`] — without ever reaching the NIC (flushed
-/// WQEs consume no fault-injector draws, so replay determinism matches the
-/// sequential path, which would not have issued them either).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Completion {
-    /// The `wr_id` of the WQE this completion belongs to.
-    pub wr_id: u64,
-    /// Virtual time at which the verb completed (engine service plus the
-    /// remaining wire latency). For failed/flushed WQEs this is the batch
-    /// arrival time: errors are reported as soon as the NIC sees them.
-    pub completed_at: SimTime,
-    /// Verb outcome, or the error that failed/flushed the WQE.
-    pub result: Result<VerbOutcome, RdmaError>,
-    /// Payload read by a READ WQE (empty for writes and failures). The
-    /// buffer is borrowed from the RNIC's staging pool and returns there
-    /// when the completion is dropped.
-    pub data: PooledBuf,
-}
-
-impl Completion {
-    /// Whether the WQE completed successfully.
-    pub fn is_ok(&self) -> bool {
-        self.result.is_ok()
-    }
-}
-
-/// One entry of a synchronous READ batch
-/// ([`crate::QueuePair::read_batch_into`]): the fields of [`WqeOp::Read`]
-/// plus the echoed `wr_id`, flattened into a copyable record so batches can
-/// live in a caller-recycled vector instead of the send queue.
+/// One READ of a doorbell batch ([`crate::QueuePair::read_batch_into`]),
+/// a copyable record so batches can live in a caller-recycled vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadReq {
     /// Caller-chosen identifier echoed back in the matching result.
@@ -112,15 +46,16 @@ impl ReadReq {
     }
 }
 
-/// The outcome of one synchronous READ-batch entry: a [`Completion`]
-/// without the payload, which lands directly in the caller's buffer.
+/// The outcome of one READ-batch entry; the payload itself lands directly
+/// in the caller's buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadResult {
     /// The `wr_id` of the request this result belongs to.
     pub wr_id: u64,
-    /// Virtual time at which the verb completed; same semantics as
-    /// [`Completion::completed_at`], including failed/flushed entries
-    /// completing at batch arrival.
+    /// Virtual time at which the verb completed (engine service plus the
+    /// remaining wire latency). For failed/flushed requests this is the
+    /// batch arrival time: errors are reported as soon as the NIC sees
+    /// them.
     pub completed_at: SimTime,
     /// Verb outcome, or the error that failed/flushed the request.
     pub result: Result<VerbOutcome, RdmaError>,
