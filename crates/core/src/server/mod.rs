@@ -110,16 +110,6 @@ pub struct ServerConfig {
     /// are byte-identical to builds predating QoS. Propagated into the
     /// RNIC's config unless that config carries its own `qos`.
     pub qos: Option<QosConfig>,
-    /// Execution lanes for windowed lane-parallel simulation. At `1` (the
-    /// default) the node runs the exact classic code path. Above `1`: the
-    /// RNIC is partitioned into this many lanes (per-lane fault streams,
-    /// lane-pinned engine dispatch — see
-    /// [`RnicConfig::lanes`](corm_sim_rdma::RnicConfig)), and the threaded
-    /// server's workers batch their shared-clock advances into
-    /// lookahead-bounded windows committed per lane instead of per op.
-    /// Propagated into the RNIC's config unless that config already asks
-    /// for multiple lanes itself.
-    pub sim_lanes: usize,
     /// Pin budget: maximum DRAM-resident frames before the server starts
     /// spilling cold blocks to the far tier. `None` (the default) disables
     /// tiering entirely — residency is never consulted, no far tier is
@@ -157,7 +147,6 @@ impl Default for ServerConfig {
             compaction_budget: None,
             batch_mtt_sync: false,
             qos: None,
-            sim_lanes: 1,
             pin_budget_frames: None,
             tier: None,
             seed: 0xC0_4D,
@@ -311,9 +300,6 @@ impl CormServer {
         }
         if rnic_config.qos.is_none() {
             rnic_config.qos = config.qos.clone();
-        }
-        if rnic_config.lanes <= 1 {
-            rnic_config.lanes = config.sim_lanes.max(1);
         }
         // A pin budget brings a far tier with it. The director and the RNIC
         // share one tier instance so NIC-side fetches and server-side

@@ -175,29 +175,6 @@ impl<E> EventQueue<E> {
         assert!(at >= self.now, "cannot schedule event in the past: at={at} now={}", self.now);
         let key = self.seq;
         self.seq += 1;
-        self.insert(at, key, event);
-    }
-
-    /// Schedules `event` at `at` with an explicit tie-breaking `key` in
-    /// place of the internal insertion counter: equal-timestamp events pop
-    /// in ascending key order regardless of insertion order. Lane engines
-    /// use this to give cross-lane deliveries an intrinsic, thread-count-
-    /// independent position in the total order. Callers own key uniqueness
-    /// per timestamp; mixing with [`EventQueue::schedule`] on one queue
-    /// compares caller keys against internal counters and is almost never
-    /// what you want.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current simulation time.
-    #[inline]
-    pub fn schedule_keyed(&mut self, at: SimTime, key: u64, event: E) {
-        assert!(at >= self.now, "cannot schedule event in the past: at={at} now={}", self.now);
-        self.insert(at, key, event);
-    }
-
-    #[inline]
-    fn insert(&mut self, at: SimTime, key: u64, event: E) {
         if self.near_len > self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
             self.grow();
         }
@@ -245,17 +222,6 @@ impl<E> EventQueue<E> {
                 Some((e.at, self.arena.take(e.handle)))
             }
         }
-    }
-
-    /// Pops the earliest pending event only if it fires strictly before
-    /// `horizon` — the window-drain primitive of conservative lane-parallel
-    /// execution: a lane may safely execute everything in `[now, horizon)`.
-    #[inline]
-    pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? >= horizon {
-            return None;
-        }
-        self.pop()
     }
 
     /// The timestamp of the next event without popping it.
@@ -446,35 +412,6 @@ mod tests {
         let mut sorted = expect.clone();
         sorted.sort();
         assert_eq!(order, sorted);
-    }
-
-    #[test]
-    fn keyed_schedule_orders_ties_by_key() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_micros(2);
-        // Insertion order deliberately disagrees with key order.
-        q.schedule_keyed(t, 30, "c");
-        q.schedule_keyed(t, 10, "a");
-        q.schedule_keyed(SimTime::from_micros(1), 99, "first");
-        q.schedule_keyed(t, 20, "b");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["first", "a", "b", "c"]);
-    }
-
-    #[test]
-    fn pop_before_respects_horizon() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(100), 1);
-        q.schedule(SimTime::from_nanos(200), 2);
-        q.schedule(SimTime::from_nanos(300), 3);
-        // Horizon is exclusive: an event exactly at it must wait.
-        assert_eq!(q.pop_before(SimTime::from_nanos(100)), None);
-        assert_eq!(q.pop_before(SimTime::from_nanos(201)).unwrap().1, 1);
-        assert_eq!(q.pop_before(SimTime::from_nanos(201)).unwrap().1, 2);
-        assert_eq!(q.pop_before(SimTime::from_nanos(201)), None);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_before(SimTime::MAX).unwrap().1, 3);
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub mod sched;
 pub mod wq;
 
 pub use cache::LruCache;
-pub use corm_sim_core::lanes::LaneId;
 pub use fault::{FaultBlock, FaultConfig, FaultInjector, FaultKind, ScheduledFault};
 pub use latency::{CpuKind, DeviceKind, LatencyModel, MttUpdateStrategy};
 pub use mux::{MuxQp, MuxTenant};

@@ -11,7 +11,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use corm_sim_core::lanes::LaneId;
 use corm_sim_core::time::{SimDuration, SimTime};
 use corm_trace::Stage;
 
@@ -54,10 +53,6 @@ pub struct QpDepthStats {
 /// A reliable connected queue pair bound to a remote NIC.
 pub struct QueuePair {
     rnic: Arc<Rnic>,
-    /// The execution lane this QP's doorbell traffic is tagged with
-    /// (lane 0 — the classic untagged path — unless connected with
-    /// [`QueuePair::connect_on_lane`]).
-    lane: LaneId,
     state: Mutex<QpState>,
     reconnects: AtomicU64,
     breaks: AtomicU64,
@@ -80,17 +75,8 @@ impl std::fmt::Debug for QueuePair {
 impl QueuePair {
     /// Creates a connected QP targeting `rnic`.
     pub fn connect(rnic: Arc<Rnic>) -> Self {
-        QueuePair::connect_on_lane(rnic, LaneId(0))
-    }
-
-    /// Creates a connected QP whose doorbell batches carry `lane`'s tag:
-    /// fault draws come from the lane's injector stream and, on a
-    /// multi-lane NIC, engine dispatch pins to `lane % processing_units`.
-    /// `connect` is exactly `connect_on_lane(rnic, LaneId(0))`.
-    pub fn connect_on_lane(rnic: Arc<Rnic>, lane: LaneId) -> Self {
         QueuePair {
             rnic,
-            lane,
             state: Mutex::new(QpState::Connected),
             reconnects: AtomicU64::new(0),
             breaks: AtomicU64::new(0),
@@ -110,11 +96,6 @@ impl QueuePair {
     /// The remote NIC this QP targets.
     pub fn rnic(&self) -> &Arc<Rnic> {
         &self.rnic
-    }
-
-    /// The execution lane this QP's batches are tagged with.
-    pub fn lane(&self) -> LaneId {
-        self.lane
     }
 
     /// One-sided READ through this QP. On any access error the QP breaks.
@@ -201,7 +182,7 @@ impl QueuePair {
                 result: Err(RdmaError::QpBroken),
             }));
         } else {
-            self.rnic.serve_reads_into_on(self.lane, reqs, outs, now, results);
+            self.rnic.serve_reads_into(reqs, outs, now, results);
             if results.iter().any(|r| r.result.is_err()) {
                 *self.state.lock() = QpState::Error;
                 self.breaks.fetch_add(1, Ordering::Relaxed);
@@ -486,55 +467,5 @@ mod tests {
         let mut buf = [0u8; 4];
         assert!(matches!(qp.read(mr.rkey, va, &mut buf, t0), Err(RdmaError::RegionBusy(_))));
         assert_eq!(qp.state(), QpState::Error);
-    }
-
-    /// Per-lane fault streams: a two-lane RNIC gives each lane's QP its
-    /// own injector. Replays are byte-identical, scripted `at_op` indices
-    /// count each lane's own verbs, the lanes draw from distinct streams,
-    /// and one lane's traffic volume never shifts the other's draws.
-    #[test]
-    fn lane_fault_streams_replay_and_stay_partitioned() {
-        use crate::fault::{FaultConfig, FaultKind, ScheduledFault};
-        let run = |lane0_ops: u64| {
-            let pm = Arc::new(PhysicalMemory::new());
-            let frames = pm.alloc_n(1).unwrap();
-            let aspace = Arc::new(AddressSpace::new(pm));
-            let va = aspace.mmap(&frames).unwrap();
-            let cfg = RnicConfig {
-                lanes: 2,
-                faults: Some(FaultConfig {
-                    seed: 7,
-                    delay_prob: 0.2,
-                    schedule: vec![ScheduledFault { at_op: 3, kind: FaultKind::DelaySpike }],
-                    ..FaultConfig::default()
-                }),
-                ..RnicConfig::default()
-            };
-            let rnic = Arc::new(Rnic::new(aspace, cfg));
-            let (mr, _) = rnic.register(va, 1, false).unwrap();
-            for (lane, ops) in [(LaneId(0), lane0_ops), (LaneId(1), 64)] {
-                let qp = QueuePair::connect_on_lane(rnic.clone(), lane);
-                let reqs: Vec<ReadReq> =
-                    (0..ops).map(|i| ReadReq::new(i, mr.rkey, va, 8)).collect();
-                assert_eq!(batch(&qp, &reqs, SimTime::ZERO).0.len(), ops as usize);
-            }
-            (rnic.fault_log_for(LaneId(0)), rnic.fault_log_for(LaneId(1)))
-        };
-        let (a0, a1) = run(64);
-        let (b0, b1) = run(64);
-        assert_eq!(a0, b0, "lane 0's fault stream must replay byte-identically");
-        assert_eq!(a1, b1, "lane 1's fault stream must replay byte-identically");
-        assert!(
-            a0.contains(&(3, FaultKind::DelaySpike)) && a1.contains(&(3, FaultKind::DelaySpike)),
-            "scripted at_op indices are per-lane: each lane fires at its own 4th verb"
-        );
-        assert_ne!(a0, a1, "the lanes draw from distinct fault streams");
-        let (c0, c1) = run(128);
-        assert_eq!(
-            c0.iter().filter(|&&(op, _)| op < 64).copied().collect::<Vec<_>>(),
-            a0,
-            "lane 0's first 64 draws are a prefix of its longer run"
-        );
-        assert_eq!(c1, a1, "lane 1's draws are untouched by lane 0's traffic volume");
     }
 }

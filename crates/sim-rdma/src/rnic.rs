@@ -15,7 +15,6 @@ use std::sync::Arc;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use corm_sim_core::hash::FastHashMap;
-use corm_sim_core::lanes::LaneId;
 use corm_sim_core::resource::FifoResource;
 use corm_sim_core::time::{SimDuration, SimTime};
 use corm_sim_mem::{AddressSpace, DmaSession, FarTier, FrameId, MemError, Residency, PAGE_SIZE};
@@ -143,15 +142,6 @@ pub struct RnicConfig {
     /// plain round-robin engine dispatch with no scheduler; skewed weights
     /// buy latency-class isolation — see [`crate::sched`].
     pub qos: Option<QosConfig>,
-    /// Number of execution lanes the NIC is partitioned for (windowed
-    /// lane-parallel simulation). At `1` (the default) everything is
-    /// byte-identical to the classic NIC. Above `1`: fault draws come from
-    /// per-lane decorrelated RNG streams (lane 0 keeps the classic
-    /// stream), and lane-tagged doorbell batches are pinned to engine unit
-    /// `lane % processing_units` instead of the round-robin cursor, so
-    /// dispatch is a pure function of the lane rather than of wall-clock
-    /// arrival interleaving.
-    pub lanes: usize,
     /// The far tier behind unpinned memory, when the host runs a pin
     /// budget. `None` (the default) disables tiering entirely: residency
     /// is never consulted and the NIC is byte-identical to the pre-tiering
@@ -180,7 +170,6 @@ impl Default for RnicConfig {
             mtt_shards: 8,
             trace: TraceHandle::disabled(),
             qos: None,
-            lanes: 1,
             tier: None,
             dynamic_pin: false,
         }
@@ -304,9 +293,8 @@ pub struct Rnic {
     /// MTT + translation-cache shards, indexed by `vpn % shards.len()`.
     shards: Box<[Mutex<MttShard>]>,
     config: RnicConfig,
-    /// Fault injectors, one per execution lane (a single injector — the
-    /// classic stream — when `RnicConfig::lanes` is 1).
-    faults: Option<Box<[FaultInjector]>>,
+    /// The fault injector, when `RnicConfig::faults` is set.
+    faults: Option<FaultInjector>,
     /// Inbound verb engines, one per processing unit, each serving
     /// doorbell-batched WQEs in FIFO order. Unused when `sched` is on —
     /// the scheduler owns the engine capacity then.
@@ -330,12 +318,7 @@ impl fmt::Debug for Rnic {
 impl Rnic {
     /// Creates a NIC attached to `aspace`.
     pub fn new(aspace: Arc<AddressSpace>, config: RnicConfig) -> Self {
-        let n_lanes = config.lanes.max(1) as u32;
-        let faults = config.faults.clone().map(|cfg| {
-            (0..n_lanes)
-                .map(|lane| FaultInjector::for_lane(cfg.clone(), lane))
-                .collect::<Box<[_]>>()
-        });
+        let faults = config.faults.clone().map(FaultInjector::new);
         let n_shards = config.mtt_shards.max(1);
         // Split the cache budget evenly; every shard keeps at least one
         // entry so small caches still cache.
@@ -415,27 +398,14 @@ impl Rnic {
         Some(ShardGuards { guards })
     }
 
-    /// The fault injector (lane 0's — the classic stream), if fault
-    /// injection is enabled.
+    /// The fault injector, if fault injection is enabled.
     pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.faults_for(LaneId(0))
+        self.faults.as_ref()
     }
 
-    /// The fault injector serving `lane`'s verb traffic, if injection is
-    /// enabled. Lanes beyond `RnicConfig::lanes` fold back modulo.
-    pub fn faults_for(&self, lane: LaneId) -> Option<&FaultInjector> {
-        self.faults.as_ref().map(|f| &f[lane.0 as usize % f.len()])
-    }
-
-    /// The replay log of injected faults on lane 0 (empty when injection
-    /// is off). Use [`Rnic::fault_log_for`] for other lanes.
+    /// The replay log of injected faults (empty when injection is off).
     pub fn fault_log(&self) -> Vec<(u64, FaultKind)> {
-        self.fault_log_for(LaneId(0))
-    }
-
-    /// The replay log of faults injected on `lane`'s stream.
-    pub fn fault_log_for(&self, lane: LaneId) -> Vec<(u64, FaultKind)> {
-        self.faults_for(lane).map(|f| f.fired()).unwrap_or_default()
+        self.faults.as_ref().map(|f| f.fired()).unwrap_or_default()
     }
 
     /// The latency model in force.
@@ -688,13 +658,9 @@ impl Rnic {
     /// are responsible for moving the QP to the error state on failure.
     ///
     /// Results are pushed in posting order and NOT sorted — the caller owns
-    /// completion ordering. The batch carries an execution-lane tag: faults
-    /// draw from `lane`'s injector stream and, when the NIC is configured
-    /// with `lanes > 1`, engine dispatch pins to `lane % processing_units`.
-    /// Lane 0 on a single-lane NIC is exactly the classic untagged path.
-    pub(crate) fn serve_reads_into_on(
+    /// completion ordering.
+    pub(crate) fn serve_reads_into(
         &self,
-        lane: LaneId,
         reqs: &[ReadReq],
         outs: &mut [Vec<u8>],
         now: SimTime,
@@ -714,7 +680,7 @@ impl Rnic {
         let mut sched = self.sched.as_ref().map(|s| s.lock());
         let mut single_engine =
             (sched.is_none() && self.engines.len() == 1).then(|| self.engines[0].lock());
-        let mut fault = self.faults_for(lane).map(|inj| inj.begin_block());
+        let mut fault = self.faults.as_ref().map(|inj| inj.begin_block());
         // Last in the lock order (regions -> sched/engine -> fault ->
         // shards ascending): hold the batch's MTT shards for the whole
         // doorbell instead of relocking per page.
@@ -761,7 +727,7 @@ impl Rnic {
                             (adm.done, adm.unit)
                         }
                         (None, Some(engine)) => (engine.admit(arrival, service), 0),
-                        (None, None) => self.dispatch(lane, arrival, service),
+                        (None, None) => self.dispatch(arrival, service),
                     };
                     self.config.trace.span(
                         Track::EngineUnit(unit as u32),
@@ -802,19 +768,12 @@ impl Rnic {
         }
     }
 
-    /// Admits one WQE's engine service. On a single-lane NIC this is the
-    /// classic round-robin across processing units (with one unit, exactly
-    /// the single-engine FIFO admission). On a multi-lane NIC the unit is
-    /// `lane % processing_units` — a pure function of the lane, so
-    /// dispatch never depends on how parallel lanes interleave in wall
-    /// clock. Returns the completion time and the unit index that served
-    /// the WQE (which names its trace track).
-    fn dispatch(&self, lane: LaneId, arrival: SimTime, service: SimDuration) -> (SimTime, usize) {
-        let unit = if self.config.lanes > 1 {
-            lane.0 as usize % self.engines.len()
-        } else {
-            self.next_unit.fetch_add(1, Ordering::Relaxed) % self.engines.len()
-        };
+    /// Admits one WQE's engine service, round-robin across processing
+    /// units (with one unit, exactly the single-engine FIFO admission).
+    /// Returns the completion time and the unit index that served the WQE
+    /// (which names its trace track).
+    fn dispatch(&self, arrival: SimTime, service: SimDuration) -> (SimTime, usize) {
+        let unit = self.next_unit.fetch_add(1, Ordering::Relaxed) % self.engines.len();
         (self.engines[unit].lock().admit(arrival, service), unit)
     }
 
@@ -892,7 +851,7 @@ impl Rnic {
     ) -> Result<(VerbOutcome, usize), RdmaError> {
         let rt = self.regions.read();
         let dma = self.aspace.phys().dma();
-        let mut fault = self.faults_for(LaneId(0)).map(|inj| inj.begin_block());
+        let mut fault = self.faults.as_ref().map(|inj| inj.begin_block());
         self.access_locked(&rt, &dma, &mut fault, &mut None, &mut None, rkey, va, len, now, dir)
     }
 
