@@ -41,12 +41,6 @@ impl Table {
         self
     }
 
-    /// Convenience: appends a row of displayable values.
-    pub fn push_display<T: std::fmt::Display>(&mut self, cells: &[T]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

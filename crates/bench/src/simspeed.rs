@@ -1,8 +1,8 @@
 //! Simulator-speed benchmark: how fast the discrete-event simulator runs
 //! in *wall clock*, independent of the virtual-time results it computes.
 //!
-//! Every ROADMAP direction (cluster scale-out, million-client QoS,
-//! interleaving checking) is bounded by simulator wall-clock, so this
+//! Every ROADMAP direction (million-client QoS, interleaving checking)
+//! is bounded by simulator wall-clock, so this
 //! module gives the repo a perf trajectory: four fixed workloads whose
 //! events/sec and wall-seconds-per-virtual-second are published as
 //! `BENCH_simspeed.json` and gated in CI against >10% regressions.

@@ -79,11 +79,6 @@ pub struct ServerConfig {
     /// Per-class fragmentation ratio beyond which compaction triggers
     /// (§3.1.3).
     pub frag_threshold: f64,
-    /// Maximum occupancy for a block to be collected for compaction.
-    pub collect_max_occupancy: f64,
-    /// Whether emptied blocks are immediately returned to the process-wide
-    /// allocator.
-    pub release_empty_blocks: bool,
     /// RNIC configuration (device model, translation-cache size).
     pub rnic: RnicConfig,
     /// Shards in the block registry; 1 reproduces the single-lock
@@ -139,8 +134,6 @@ impl Default for ServerConfig {
             correction: CorrectionStrategy::ThreadMessaging,
             mtt_strategy: MttUpdateStrategy::OdpPrefetch,
             frag_threshold: 1.5,
-            collect_max_occupancy: 0.9,
-            release_empty_blocks: true,
             rnic: RnicConfig::default(),
             registry_shards: registry::DEFAULT_REGISTRY_SHARDS,
             compaction_lanes: 1,
@@ -175,8 +168,6 @@ pub enum CormError {
     ObjectLocked,
     /// The payload exceeds every size class.
     PayloadTooLarge(usize),
-    /// The target cluster node is marked failed (replication layer).
-    NodeDown,
 }
 
 impl std::fmt::Display for CormError {
@@ -190,7 +181,6 @@ impl std::fmt::Display for CormError {
             CormError::ObjectNotFound => write!(f, "object not found"),
             CormError::ObjectLocked => write!(f, "object transiently locked; retry"),
             CormError::PayloadTooLarge(n) => write!(f, "payload too large: {n}"),
-            CormError::NodeDown => write!(f, "cluster node is down"),
         }
     }
 }
@@ -912,7 +902,7 @@ impl CormServer {
         if remaining == 0 {
             self.try_release_vaddr(home_addr);
         }
-        if block_empty && self.config.release_empty_blocks {
+        if block_empty {
             self.try_release_empty_block(&block, live_base);
         }
         self.stats.frees.fetch_add(1, Ordering::Relaxed);
@@ -1050,5 +1040,37 @@ impl CormServer {
     /// paper's trace replays).
     pub fn pick_worker(&self, rng: &mut impl Rng) -> usize {
         rng.gen_range(0..self.config.workers)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use corm_sim_core::time::SimTime;
+    use corm_sim_rdma::RdmaError;
+
+    use super::{CormServer, ServerConfig};
+    use crate::client::CormClient;
+
+    #[test]
+    fn freeing_last_object_releases_its_block() {
+        let server = Arc::new(CormServer::new(ServerConfig { workers: 1, ..Default::default() }));
+        let mut client = CormClient::connect(server.clone());
+        assert_eq!(server.active_bytes(), 0);
+
+        let mut ptr = client.alloc(64).unwrap().value;
+        client.write(&mut ptr, b"last object").unwrap();
+        assert_eq!(server.active_bytes(), 4096);
+        let stale = ptr;
+
+        client.free(&mut ptr).unwrap();
+        assert_eq!(server.active_bytes(), 0, "emptied block returned to the process allocator");
+        assert_eq!(server.registry.len(), 0, "emptied block dropped from the registry");
+        // Its memory region is deregistered too: a one-sided read through
+        // the stale pointer fails on the r_key instead of returning bytes.
+        let mut buf = [0u8; 64];
+        let err = client.direct_read(&stale, &mut buf, SimTime::ZERO).unwrap_err();
+        assert!(matches!(err, RdmaError::InvalidKey(_)), "{err:?}");
     }
 }

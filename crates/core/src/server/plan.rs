@@ -1,21 +1,18 @@
 //! Merge planning for the compaction engine.
 //!
-//! The leader used to interleave pairing decisions with merge execution:
-//! one serial loop picked the next `(src, dst)` pair and immediately merged
-//! it. [`MergePlan::build`] lifts the *same greedy pairing* out into an
-//! up-front plan — it replays the pairing on cloned [`BlockModel`]s, so the
-//! planned sequence is byte-identical to what the old loop would have
-//! executed — and then partitions the merges into **disjoint lanes**:
-//! merges that share no block (directly or transitively through a shared
-//! destination or a chain) land on different lanes and can overlap in
-//! virtual time, mirroring the RNIC's parallel processing units. With one
-//! lane the plan degenerates to the old serial schedule exactly.
+//! [`MergePlan::build`] computes a pass's merges up front: it runs
+//! [`corm_compact::greedy_pairs`] under the CoRM rule on cloned
+//! [`BlockModel`]s, and then partitions the merges into **disjoint
+//! lanes**: merges that share no block (directly or transitively through a
+//! shared destination or a chain) land on different lanes and can overlap
+//! in virtual time, mirroring the RNIC's parallel processing units. With
+//! one lane every merge runs serially in pairing order.
 //!
 //! Planning itself is pure metadata work on snapshots (no data-plane
 //! access, no RNG draws) and is charged zero virtual time.
 
 use corm_alloc::process::SharedBlock;
-use corm_compact::BlockModel;
+use corm_compact::{greedy_pairs, BlockModel, ConflictRule};
 
 /// One planned merge: `src` is merged away into `dst` on lane `lane`.
 pub struct PlannedMerge {
@@ -30,10 +27,9 @@ pub struct PlannedMerge {
 
 /// The up-front plan of one compaction pass's merge phase.
 pub struct MergePlan {
-    /// Planned merges in the exact order the serial greedy loop would have
-    /// executed them. Execution preserves this global order (so side
-    /// effects on shared structures are identical at any lane count); only
-    /// the virtual-time charging differs per lane.
+    /// Planned merges in greedy pairing order. Execution preserves this
+    /// global order (so side effects on shared structures are identical at
+    /// any lane count); only the virtual-time charging differs per lane.
     pub merges: Vec<PlannedMerge>,
     /// Number of lanes merges were distributed over.
     pub lanes: usize,
@@ -50,36 +46,18 @@ impl MergePlan {
     /// ascending live count, as the collection stage produces them) and
     /// lays it out on `lanes` disjoint lanes.
     ///
-    /// The pairing replays the historical serial loop: sources ascend from
-    /// the least-utilized end; each source scans for the most-utilized
-    /// compatible destination; a successful merge updates the
-    /// destination's (cloned) occupancy model so later compatibility
-    /// checks see it — exactly as the old code observed the real blocks
-    /// mid-pass.
+    /// The pairing runs on clones of the blocks' occupancy models, so a
+    /// planned merge updates its destination's model and later
+    /// compatibility checks see it.
     pub fn build(candidates: &[SharedBlock], lanes: usize) -> MergePlan {
         let lanes = lanes.max(1);
         let n = candidates.len();
         let mut models: Vec<BlockModel> =
             candidates.iter().map(|b| b.lock().model().clone()).collect();
+        let pairs = greedy_pairs(&mut models, ConflictRule::Ids).pairs;
         let mut gone = vec![false; n];
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for s in 0..n {
-            if gone[s] {
-                continue;
-            }
-            for d in (0..n).rev() {
-                if d == s || gone[d] {
-                    continue;
-                }
-                if !models[d].corm_compactable(&models[s]) {
-                    continue;
-                }
-                let src_model = models[s].clone();
-                models[d].merge_corm(&src_model);
-                gone[s] = true;
-                pairs.push((s, d));
-                break;
-            }
+        for &(s, _) in &pairs {
+            gone[s] = true;
         }
 
         // Union-find over block indices: merges sharing any block

@@ -131,13 +131,6 @@ impl Block {
         &self.frames
     }
 
-    /// Replaces the backing frames (after the server remaps the vaddr onto
-    /// a destination block during compaction).
-    pub fn set_frames(&mut self, frames: Vec<FrameId>) {
-        assert_eq!(frames.len(), self.pages);
-        self.frames = frames;
-    }
-
     /// Total object slots.
     pub fn slots(&self) -> usize {
         self.model.slots()

@@ -39,6 +39,61 @@ pub struct CompactionOutcome {
     pub pairs_tested: usize,
 }
 
+/// The merges one greedy pass chose.
+#[derive(Debug, Default)]
+pub struct GreedyPairing {
+    /// `(src, dst)` block indices in execution order: `src` was merged
+    /// away into `dst`.
+    pub pairs: Vec<(usize, usize)>,
+    /// Objects relocated to a new offset (their pointers become indirect).
+    pub objects_moved: usize,
+    /// Candidate pairs tested.
+    pub pairs_tested: usize,
+}
+
+/// Runs the greedy pairing over `blocks`, which must be sorted by
+/// ascending live count: sources ascend from the least-utilized end, each
+/// merges into the most-utilized compatible destination still standing,
+/// and the merge is applied to the destination's model so later checks
+/// see it. Merged-away sources stay in `blocks` but are never touched
+/// again.
+pub fn greedy_pairs(blocks: &mut [BlockModel], rule: ConflictRule) -> GreedyPairing {
+    let n = blocks.len();
+    let mut gone = vec![false; n];
+    let mut out = GreedyPairing::default();
+    for src in 0..n {
+        // Destinations from most- to least-occupied (best fit). The source
+        // itself sits at `src`; everything after it is ≥ its occupancy.
+        for dst in (0..n).rev() {
+            if dst == src || gone[dst] {
+                continue;
+            }
+            let (to, from) = if dst > src {
+                let (lo, hi) = blocks.split_at_mut(dst);
+                (&mut hi[0], &lo[src])
+            } else {
+                let (lo, hi) = blocks.split_at_mut(src);
+                (&mut lo[dst], &hi[0])
+            };
+            out.pairs_tested += 1;
+            let ok = match rule {
+                ConflictRule::Offsets => to.mesh_compactable(from),
+                ConflictRule::Ids => to.corm_compactable(from),
+            };
+            if ok {
+                match rule {
+                    ConflictRule::Offsets => to.merge_mesh(from),
+                    ConflictRule::Ids => out.objects_moved += to.merge_corm(from),
+                }
+                gone[src] = true;
+                out.pairs.push((src, dst));
+                break;
+            }
+        }
+    }
+    out
+}
+
 /// Runs one greedy compaction pass over `blocks` under `rule`.
 pub fn compact_blocks(blocks: Vec<BlockModel>, rule: ConflictRule) -> CompactionOutcome {
     let before = blocks.len();
@@ -46,53 +101,18 @@ pub fn compact_blocks(blocks: Vec<BlockModel>, rule: ConflictRule) -> Compaction
     let mut live: Vec<BlockModel> = blocks.into_iter().filter(|b| !b.is_empty()).collect();
     // Ascending occupancy: least-utilized blocks are tried as sources first.
     live.sort_by_key(|b| b.live());
-    let n = live.len();
-    let mut alive: Vec<Option<BlockModel>> = live.into_iter().map(Some).collect();
-
-    let mut merges = 0;
-    let mut objects_moved = 0;
-    let mut pairs_tested = 0;
-
-    for src_idx in 0..n {
-        let Some(src) = alive[src_idx].take() else {
-            continue;
-        };
-        // Destinations from most- to least-occupied (best fit). The source
-        // itself sits at src_idx; everything after it is ≥ its occupancy.
-        let mut merged = false;
-        for dst_idx in (0..n).rev() {
-            if dst_idx == src_idx {
-                continue;
-            }
-            let Some(dst) = alive[dst_idx].as_mut() else {
-                continue;
-            };
-            pairs_tested += 1;
-            let ok = match rule {
-                ConflictRule::Offsets => dst.mesh_compactable(&src),
-                ConflictRule::Ids => dst.corm_compactable(&src),
-            };
-            if ok {
-                match rule {
-                    ConflictRule::Offsets => dst.merge_mesh(&src),
-                    ConflictRule::Ids => objects_moved += dst.merge_corm(&src),
-                }
-                merges += 1;
-                merged = true;
-                break;
-            }
-        }
-        if !merged {
-            alive[src_idx] = Some(src);
-        }
+    let pairing = greedy_pairs(&mut live, rule);
+    let mut gone = vec![false; live.len()];
+    for &(src, _) in &pairing.pairs {
+        gone[src] = true;
     }
-
-    let blocks: Vec<BlockModel> = alive.into_iter().flatten().collect();
+    let blocks: Vec<BlockModel> =
+        live.into_iter().zip(gone).filter(|(_, gone)| !gone).map(|(b, _)| b).collect();
     CompactionOutcome {
         blocks_freed: before - blocks.len(),
-        merges,
-        objects_moved,
-        pairs_tested,
+        merges: pairing.pairs.len(),
+        objects_moved: pairing.objects_moved,
+        pairs_tested: pairing.pairs_tested,
         blocks,
     }
 }

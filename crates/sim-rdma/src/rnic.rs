@@ -115,15 +115,10 @@ pub struct RnicConfig {
     /// Deterministic fault injection. `None` (the default) disables it
     /// entirely: the NIC behaves bit-identically to a fault-free build.
     pub faults: Option<FaultConfig>,
-    /// Number of parallel servers in the inbound verb engine that serves
-    /// doorbell-batched WQEs. Real ConnectX processing units pipeline, but
-    /// a single FIFO server calibrated to `nic_read_service` reproduces the
-    /// aggregate plateau; widen for hypothetical multi-engine devices.
-    pub engine_width: usize,
     /// Number of independent on-NIC processing units. Each unit owns its
-    /// own inbound [`FifoResource`] (with `engine_width` servers) and WQEs
-    /// are dispatched round-robin across units, the NP-RDMA model of an
-    /// internally parallel RNIC. At `1` (the default) dispatch, virtual
+    /// own single-server inbound [`FifoResource`] and WQEs are dispatched
+    /// round-robin across units, the NP-RDMA model of an internally
+    /// parallel RNIC. At `1` (the default) dispatch, virtual
     /// time, and the fault-draw order are byte-identical to the
     /// single-engine NIC, which keeps seeded replays stable.
     pub processing_units: usize,
@@ -165,7 +160,6 @@ impl Default for RnicConfig {
             model: LatencyModel::default(),
             cache_entries: 16 * 1024,
             faults: None,
-            engine_width: 1,
             processing_units: 1,
             mtt_shards: 8,
             trace: TraceHandle::disabled(),
@@ -332,15 +326,17 @@ impl Rnic {
             })
             .collect();
         let units = config.processing_units.max(1);
-        let engines =
-            (0..units).map(|_| Mutex::new(FifoResource::new(config.engine_width.max(1)))).collect();
+        // Real ConnectX processing units pipeline, but one FIFO server per
+        // unit calibrated to `nic_read_service` reproduces the aggregate
+        // plateau.
+        let engines = (0..units).map(|_| Mutex::new(FifoResource::new(1))).collect();
         // A uniform config has nothing to arbitrate: it *is* the plain
         // engine dispatch, so only a weighted config gets a scheduler.
         let sched = config
             .qos
             .clone()
             .filter(|qos| !qos.is_uniform())
-            .map(|qos| Mutex::new(QosScheduler::new(qos, units, config.engine_width.max(1))));
+            .map(|qos| Mutex::new(QosScheduler::new(qos, units)));
         Rnic {
             aspace,
             regions: RwLock::new(RegionTable {

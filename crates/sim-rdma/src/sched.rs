@@ -165,13 +165,12 @@ pub struct QosScheduler {
     drain: BinaryHeap<Reverse<(SimTime, u64)>>,
     /// Sum of the weights of currently-backlogged flows.
     w_active: u64,
-    /// Aggregate engine capacity (units × width servers).
-    capacity: u64,
     /// Processing-order clamp, mirroring `FifoResource`: admissions stay
     /// causal even if a caller's clock lags.
     last_admit: SimTime,
     /// Round-robin cursor assigning trace units.
     next_unit: usize,
+    /// Aggregate engine capacity: one server per processing unit.
     units: usize,
     /// Verbs admitted.
     admitted: u64,
@@ -189,16 +188,15 @@ fn flow_key(tenant: u32, class: TrafficClass) -> u64 {
 }
 
 impl QosScheduler {
-    /// Creates a scheduler rationing `units` engines of `width` servers
-    /// each — the same shape as the legacy engine array.
-    pub fn new(config: QosConfig, units: usize, width: usize) -> Self {
+    /// Creates a scheduler rationing `units` single-server engines — the
+    /// same shape as the RNIC's engine array.
+    pub fn new(config: QosConfig, units: usize) -> Self {
         let units = units.max(1);
         QosScheduler {
             config,
             flows: FastHashMap::default(),
             drain: BinaryHeap::new(),
             w_active: 0,
-            capacity: (units * width.max(1)) as u64,
             last_admit: SimTime::ZERO,
             next_unit: 0,
             units,
@@ -247,8 +245,10 @@ impl QosScheduler {
         }
         let start = flow.next_start.max(now);
         let done = start + service;
-        let spacing =
-            service.as_nanos().saturating_mul(self.w_active).div_ceil(flow.weight * self.capacity);
+        let spacing = service
+            .as_nanos()
+            .saturating_mul(self.w_active)
+            .div_ceil(flow.weight * self.units as u64);
         flow.next_start = start + SimDuration::from_nanos(spacing);
         self.drain.push(Reverse((flow.next_start, key)));
         let unit = self.next_unit;
@@ -276,7 +276,7 @@ impl QosScheduler {
         if horizon == SimTime::ZERO {
             return 0.0;
         }
-        self.busy.as_secs_f64() / (horizon.as_secs_f64() * self.capacity as f64)
+        self.busy.as_secs_f64() / (horizon.as_secs_f64() * self.units as f64)
     }
 
     /// Per-class admitted counts, indexed by [`TrafficClass`].
@@ -310,7 +310,7 @@ mod tests {
     fn saturating_bulk_does_not_delay_latency_class() {
         // Isolation: bulk backlogs its own clock far ahead; a latency verb
         // still starts at its arrival and completes in one service.
-        let mut qos = QosScheduler::new(QosConfig::default(), 1, 1);
+        let mut qos = QosScheduler::new(QosConfig::default(), 1);
         let s = us(10);
         for _ in 0..1000 {
             qos.admit(7, TrafficClass::Bulk, at(0), s);
@@ -331,7 +331,7 @@ mod tests {
             tenant_weights: vec![(1, 3), (2, 1)],
         };
         assert!(!cfg.is_uniform());
-        let mut qos = QosScheduler::new(cfg, 1, 1);
+        let mut qos = QosScheduler::new(cfg, 1);
         let s = us(1);
         let horizon = at(4_000);
         let (mut heavy, mut light) = (0u64, 0u64);
@@ -352,7 +352,7 @@ mod tests {
         // Work conservation, skewed weights: while every flow still has
         // runnable WQEs the engines complete work at full capacity — the
         // completed service in [0, T] tracks T with no idle gap.
-        let mut qos = QosScheduler::new(QosConfig::default(), 1, 1);
+        let mut qos = QosScheduler::new(QosConfig::default(), 1);
         let s = us(4);
         let mut dones = Vec::new();
         for i in 0..300 {
@@ -381,7 +381,7 @@ mod tests {
         // A flow that drains (real time passes its clock) stops diluting
         // others: after bulk's backlog is long gone, latency runs at full
         // rate again and bulk restarts cleanly.
-        let mut qos = QosScheduler::new(QosConfig::default(), 1, 1);
+        let mut qos = QosScheduler::new(QosConfig::default(), 1);
         let s = us(2);
         for _ in 0..10 {
             qos.admit(0, TrafficClass::Bulk, at(0), s);
@@ -417,7 +417,7 @@ mod tests {
 
     #[test]
     fn per_class_counters_accumulate() {
-        let mut qos = QosScheduler::new(QosConfig::default(), 1, 1);
+        let mut qos = QosScheduler::new(QosConfig::default(), 1);
         qos.admit(0, TrafficClass::Latency, at(0), us(1));
         qos.admit(0, TrafficClass::Bulk, at(0), us(2));
         qos.admit(0, TrafficClass::Bulk, at(0), us(2));
